@@ -2,7 +2,6 @@
 lattice, with residual verification of the lattice Dirac-Kahler and Hestenes
 equations and their plane-wave solutions."""
 
-from .backend import backend_name
 from .calculus import (
     codifferential,
     d_c,
@@ -57,7 +56,6 @@ __all__ = [
     "Momentum",
     "amplitude_from_minus",
     "amplitude_from_plus",
-    "backend_name",
     "basis_chain",
     "basis_rank",
     "boundary",

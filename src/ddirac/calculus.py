@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Cochain, LatticeBox
+from .lattice import Cochain
 from .multiindex import (
     ALL_INDEXES,
-    NSLOTS,
     SLOT_OF,
     complement,
     enumerate_basis,
@@ -38,14 +37,34 @@ def inner_sign(mi) -> int:
     return levi_civita(mi) * star_sign(mi)
 
 
-def _shift_forward(arr: np.ndarray, axis: int) -> np.ndarray:
-    """arr evaluated at the forward-shifted point, zero beyond the box."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, -1)
-    out[tuple(dst)] = arr[tuple(src)]
+#: Per direction mu: the lattice slices of the points k whose forward
+#: neighbour k + e_mu is inside the box, and of those neighbours.
+_HEAD = tuple(tuple(slice(0, -1) if a == mu else slice(None) for a in range(4))
+              for mu in range(4))
+_TAIL = tuple(tuple(slice(1, None) if a == mu else slice(None) for a in range(4))
+              for mu in range(4))
+
+
+def apply_stencil(data: np.ndarray, stencil) -> np.ndarray:
+    """Sum of signed single-slot forward differences, one term list per
+    output slot: {target multi-index: [(sign, direction mu, source
+    multi-index), ...]}, with each sign +1 or -1.
+
+    Each term adds sign * (source at k + e_mu - source at k) into the target
+    slot, reading the shifted value as zero beyond the box.  The shifted
+    source slice is added straight into the target, so no term allocates.
+    """
+    out = np.zeros_like(data)
+    for target, terms in stencil.items():
+        acc = out[SLOT_OF[target]]
+        for sign, mu, src in terms:
+            arr = data[SLOT_OF[src]]
+            if sign > 0:
+                acc[_HEAD[mu]] += arr[_TAIL[mu]]
+                acc -= arr
+            else:
+                acc[_HEAD[mu]] -= arr[_TAIL[mu]]
+                acc += arr
     return out
 
 
@@ -55,31 +74,25 @@ def delta_mu(form: Cochain, mu: int) -> Cochain:
         raise ValueError(f"direction must be in 0..3, got {mu}")
     if form.box.extents[mu] < 2:
         raise ValueError(f"need at least 2 points along direction {mu}")
-    # component axis is 0, lattice axes are 1..4
-    return form.like(_shift_forward(form.data, mu + 1) - form.data)
+    stencil = {mi: [(+1, mu, mi)] for mi in ALL_INDEXES}
+    return form.like(apply_stencil(form.data, stencil))
 
 
-def _delta_component(form: Cochain, mu: int, mi) -> np.ndarray:
-    arr = form.data[SLOT_OF[mi]]
-    return _shift_forward(arr, mu) - arr
+#: Coboundary stencil, from the exterior rule: the degree-(r+1) component J
+#: collects, for each direction mu in J, the mu-difference of the component
+#: J-without-mu with sign (-1)^(position of mu in J).
+DC_STENCIL = {
+    target: [(-1 if pos % 2 else 1, mu, tuple(d for d in target if d != mu))
+             for pos, mu in enumerate(target)]
+    for r_out in range(1, 5)
+    for target in enumerate_basis(r_out)
+}
 
 
 def d_c(form: Cochain) -> Cochain:
     """Coboundary (discrete exterior derivative), degree r -> r+1.
-
-    The degree-(r+1) component J collects, for each direction mu in J, the
-    mu-difference of the component J-without-mu with sign (-1)^(position of
-    mu in J).  Degree-4 input contributes nothing.
-    """
-    out = np.zeros_like(form.data)
-    for r_out in range(1, 5):
-        for target in enumerate_basis(r_out):
-            acc = out[SLOT_OF[target]]
-            for pos, mu in enumerate(target):
-                src = tuple(d for d in target if d != mu)
-                sign = -1 if pos % 2 else 1
-                acc += sign * _delta_component(form, mu, src)
-    return form.like(out)
+    Degree-4 input contributes nothing."""
+    return form.like(apply_stencil(form.data, DC_STENCIL))
 
 
 def star(form: Cochain) -> Cochain:
@@ -127,12 +140,7 @@ def codifferential(form: Cochain, method: str = "stencil") -> Cochain:
         return star(d_c(star(form)))
     if method != "stencil":
         raise ValueError(f"method must be 'stencil' or 'composite', got {method!r}")
-    out = np.zeros_like(form.data)
-    for target, terms in CODIFF_STENCIL.items():
-        acc = out[SLOT_OF[target]]
-        for sign, mu, src in terms:
-            acc += sign * _delta_component(form, mu, src)
-    return form.like(out)
+    return form.like(apply_stencil(form.data, CODIFF_STENCIL))
 
 
 def dirac_operator(form: Cochain) -> Cochain:

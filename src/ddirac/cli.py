@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,6 @@ import click
 import numpy as np
 
 from . import oracle
-from .backend import backend_name
 from .calculus import (
     codifferential,
     d_c,
@@ -47,8 +47,35 @@ from .planewave import (
     solution_basis,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "DDIRAC"}
+#: Operator-route vs stencil-route agreement, relative to the input.
+CROSS_TOL = 1e-13
+
+
+def _finite_or_null(value):
+    """Copy of a report in which every non-finite float becomes None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _dumps(doc: dict) -> str:
+    """Strict JSON: NaN and infinities are written as null."""
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _emit_json(doc: dict, out: str | None):
+    text = _dumps(doc)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    click.echo(text, nl=False)
 
 
 def _parse_extents(_ctx, _param, value: str) -> tuple[int, int, int, int]:
@@ -105,7 +132,6 @@ class Report:
         return {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
-            "backend": backend_name(),
             "config": self.config,
             "results": results,
             "summary": {
@@ -118,7 +144,7 @@ class Report:
     def render(self, fmt: str) -> str:
         doc = self.to_dict()
         if fmt == "json":
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            return _dumps(doc)
         buf = io.StringIO()
         keys = sorted({k for r in doc["results"] for k in r})
         writer = csv.DictWriter(buf, fieldnames=keys)
@@ -251,24 +277,23 @@ def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
     res_st = stencil_fn(omega, mass)
     cross = (res_op.residual - res_st.residual).max_abs(1)
     cross_rel = cross / max(omega.max_abs(), 1e-300)
+    finite = all(math.isfinite(v)
+                 for v in (res_op.max_abs, res_op.rel, res_st.max_abs, res_st.rel))
+    cross_failed = not (cross_rel <= CROSS_TOL)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": name,
-        "backend": backend_name(),
         "config": {"extents": list(extents), "seed": seed, "policy": policy.value,
                    "mass": mass, "input": input_path, "tol_rel": tol_rel},
         "max_abs": res_op.max_abs,
         "rel": res_op.rel,
         "region": list(res_op.region),
+        "finite": finite,
         "stencil_cross_check": {"max_abs": cross, "rel": cross_rel,
-                                "passed": cross_rel <= 1e-13},
+                                "passed": not cross_failed},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    click.echo(text, nl=False)
-    sys.exit(0 if cross_rel <= 1e-13 else 1)
+    _emit_json(doc, out)
+    sys.exit(1 if cross_failed or not finite else 0)
 
 
 @main.command("dk-check")
@@ -341,7 +366,7 @@ def planewave(extents, seed, policy, tol_rel, out, fmt, mass, spatial, p0, kind,
                 r_op = hestenes_residual_operator(sol, mom.m)
                 r_st = hestenes_residual_stencil(sol, mom.m)
                 residuals.append({"operator": r_op.rel, "stencil": r_st.rel})
-                if r_op.rel > tol_rel:
+                if not (r_op.rel <= tol_rel) or not math.isfinite(r_st.rel):
                     failures += 1
             entry["amplitudes"] = [list(a.as_vector()) for a in basis]
             entry["residuals"] = residuals
@@ -359,22 +384,19 @@ def planewave(extents, seed, policy, tol_rel, out, fmt, mass, spatial, p0, kind,
             entry["amplitudes"] = [list(amp.as_vector())]
             entry["residuals"] = [{"operator": r_op.rel,
                                    "note": "expected nonzero residual"}]
+            if not math.isfinite(r_op.rel):
+                failures += 1
         entries.append(entry)
 
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "planewave",
-        "backend": backend_name(),
         "config": {"extents": list(extents), "seed": seed, "policy": policy.value,
                    "tol_rel": tol_rel, "kind": kind},
         "entries": entries,
         "summary": {"momenta": len(momenta), "failures": failures},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    click.echo(text, nl=False)
+    _emit_json(doc, out)
     sys.exit(0 if failures == 0 else 1)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backend
+from .calculus import apply_stencil
 from .lattice import Cochain, LatticeBox
 from .multiindex import ALL_INDEXES, NSLOTS, SLOT_OF, validate
 
@@ -41,23 +41,14 @@ def reduce_word(word) -> tuple[int, tuple[int, ...]]:
 
 
 class CliffordTable:
-    """Immutable 16x16 basis product table plus flat arrays for the kernels."""
+    """Immutable 16x16 basis product table:
+    {(left multi-index, right multi-index): (sign, product multi-index)}."""
 
     def __init__(self):
-        self.entries: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-        slot_a, slot_b, slot_out, signs = [], [], [], []
-        for ia, mi_a in enumerate(ALL_INDEXES):
-            for ib, mi_b in enumerate(ALL_INDEXES):
-                sign, out = reduce_word(mi_a + mi_b)
-                self.entries[(mi_a, mi_b)] = (sign, out)
-                slot_a.append(ia)
-                slot_b.append(ib)
-                slot_out.append(SLOT_OF[out])
-                signs.append(float(sign))
-        self.slot_a = np.asarray(slot_a, dtype=np.int64)
-        self.slot_b = np.asarray(slot_b, dtype=np.int64)
-        self.slot_out = np.asarray(slot_out, dtype=np.int64)
-        self.signs = np.asarray(signs, dtype=np.float64)
+        self.entries: dict[tuple, tuple[int, tuple[int, ...]]] = {
+            (mi_a, mi_b): reduce_word(mi_a + mi_b)
+            for mi_a in ALL_INDEXES for mi_b in ALL_INDEXES
+        }
 
     def product(self, dirs_a, dirs_b) -> tuple[int, tuple[int, ...]]:
         return self.entries[(validate(dirs_a), validate(dirs_b))]
@@ -71,13 +62,11 @@ def build_table() -> CliffordTable:
 def clifford_mul(a: Cochain, b: Cochain) -> Cochain:
     """Pointwise Clifford product of two (possibly inhomogeneous) forms."""
     a._check_compatible(b)
-    table = build_table()
-    flat_a = a.data.reshape(NSLOTS, -1)
-    flat_b = b.data.reshape(NSLOTS, -1)
-    out = backend.clifford_contract(flat_a, flat_b, table.slot_a, table.slot_b,
-                                    table.slot_out, table.signs)
+    out = np.zeros_like(a.data)
+    for (mi_a, mi_b), (sign, res) in build_table().entries.items():
+        out[SLOT_OF[res]] += sign * a.data[SLOT_OF[mi_a]] * b.data[SLOT_OF[mi_b]]
     kind = "real" if a.scalar_kind == b.scalar_kind == "real" else "complex"
-    return Cochain(a.box, out.reshape(a.data.shape), kind, a.tilde)
+    return Cochain(a.box, out, kind, a.tilde)
 
 
 def unit_form(dirs, box: LatticeBox, tilde: bool = False) -> Cochain:
@@ -108,12 +97,21 @@ def mul_basis_right(form: Cochain, dirs) -> Cochain:
     return _shuffle(form, dirs, "right")
 
 
+def _dirac_stencil(table: CliffordTable) -> dict:
+    """sum_mu e_mu * Delta_mu as a stencil: e_mu times slot mi lands in the
+    table's product slot, with the table's sign."""
+    stencil: dict[tuple[int, ...], list] = {}
+    for mu in range(4):
+        for mi in ALL_INDEXES:
+            sign, res = table.entries[((mu,), mi)]
+            stencil.setdefault(res, []).append((sign, mu, mi))
+    return stencil
+
+
+DIRAC_STENCIL = _dirac_stencil(build_table())
+
+
 def dirac_clifford(omega: Cochain) -> Cochain:
     """The Clifford-form first-order operator: sum_mu e_mu * (forward
     difference of omega along mu)."""
-    from .calculus import delta_mu  # local import to avoid a cycle
-
-    out = Cochain.zeros(omega.box, omega.scalar_kind, omega.tilde)
-    for mu in range(4):
-        out = out + mul_basis_left((mu,), delta_mu(omega, mu))
-    return out
+    return omega.like(apply_stencil(omega.data, DIRAC_STENCIL))

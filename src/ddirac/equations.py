@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import delta_mu, dirac_operator
+from .calculus import apply_stencil, dirac_operator
 from .clifford import build_table, mul_basis_right
-from .lattice import Cochain, LatticeBox, BoundaryPolicy, interior_slices
-from .multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
+from .lattice import BoundaryPolicy, Cochain
+from .multiindex import ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
 
@@ -46,10 +46,6 @@ def _summarize(residual: Cochain, reference: Cochain, depth: int) -> EquationRes
 def even_odd_split(omega: Cochain) -> tuple[Cochain, Cochain]:
     """Partition by degree parity; the two parts sum back to the input."""
     return omega.even_part(), omega.odd_part()
-
-
-def _delta(omega: Cochain, mu: int, mi) -> np.ndarray:
-    return delta_mu(omega, mu).data[SLOT_OF[mi]]
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -91,12 +87,10 @@ def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     """Same residual evaluated from the 16 literal difference equations."""
     _check_mass(m)
-    out = np.zeros_like(omega.data)
-    for target, terms in DK_STENCIL.items():
-        acc = out[SLOT_OF[target]]
-        for sign, mu, src in terms:
-            acc += 1j * sign * _delta(omega, mu, src)
-        acc -= m * omega.data[SLOT_OF[target]]
+    out = apply_stencil(omega.data, DK_STENCIL)
+    # scaled in place: no second full-size array beside the m*omega term
+    out *= 1j
+    out -= m * omega.data
     return _summarize(omega.like(out), omega, depth=1)
 
 
@@ -143,12 +137,10 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     _check_mass(m)
     _check_even_real(omega_ev)
     table = build_table()
-    out = np.zeros_like(omega_ev.data)
-    for rhs_mi, terms in HESTENES_STENCIL.items():
+    lines = apply_stencil(omega_ev.data, HESTENES_STENCIL)
+    lines -= m * omega_ev.data
+    out = np.zeros_like(lines)
+    for rhs_mi in HESTENES_STENCIL:
         sign_c, slot_mi = table.product(rhs_mi, (0,))
-        line = np.zeros(omega_ev.box.extents, dtype=np.complex128)
-        for sign, mu, src in terms:
-            line += sign * _delta(omega_ev, mu, src)
-        line -= m * omega_ev.data[SLOT_OF[rhs_mi]]
-        out[SLOT_OF[slot_mi]] += sign_c * line
+        out[SLOT_OF[slot_mi]] = sign_c * lines[SLOT_OF[rhs_mi]]
     return _summarize(omega_ev.like(out, scalar_kind="complex"), omega_ev, depth=1)

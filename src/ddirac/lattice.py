@@ -201,6 +201,9 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, doc: dict, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
+                             f"got {doc.get('schema_version')!r}")
         box = LatticeBox(tuple(doc["extents"]), policy)
         data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
         for by_mi in doc.get("components", {}).values():
@@ -211,6 +214,8 @@ class Cochain:
                     raise ValueError(
                         f"component {mi_string!r}: expected {2 * box.npoints} floats, "
                         f"got {flat.size}")
+                if not np.isfinite(flat).all():
+                    raise ValueError(f"component {mi_string!r}: non-finite values")
                 data[SLOT_OF[mi]] = (flat[0::2] + 1j * flat[1::2]).reshape(box.extents)
         return cls(box, data, doc.get("scalar_kind", "complex"), doc.get("tilde", False))
 

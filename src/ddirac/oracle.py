@@ -144,6 +144,19 @@ def gamma_model_check() -> dict:
     }
 
 
+def gamma_product(a: Cochain, b: Cochain) -> Cochain:
+    """Pointwise Clifford product through the gamma-matrix model: map each
+    point's 16 components to a 4x4 matrix, multiply, and solve for the
+    components of the product in the 16 basis matrices."""
+    a._check_compatible(b)
+    basis = np.stack([gamma_of(mi) for mi in ALL_INDEXES])  # (16, 4, 4)
+    mat_a = np.einsum("sij,sn->nij", basis, a.data.reshape(NSLOTS, -1))
+    mat_b = np.einsum("sij,sn->nij", basis, b.data.reshape(NSLOTS, -1))
+    prod = (mat_a @ mat_b).reshape(-1, 16).T  # (16 matrix entries, points)
+    coeffs = np.linalg.solve(basis.reshape(NSLOTS, 16).T, prod)
+    return Cochain(a.box, coeffs.reshape(a.data.shape), "complex", a.tilde)
+
+
 # --- chain-level Green boundary term ------------------------------------------
 
 class ProductChain:

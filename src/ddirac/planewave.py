@@ -53,7 +53,10 @@ class Momentum:
         return p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 - self.m * self.m
 
     def on_shell(self, tol: float = ONSHELL_TOL) -> bool:
-        return abs(self.mass_shell_defect()) <= tol
+        """|p.p - m^2| <= tol * max(1, p0^2, m^2): the defect's rounding
+        error grows with p0^2 and m^2, so the test is relative to them."""
+        scale = max(1.0, self.p[0] * self.p[0], self.m * self.m)
+        return abs(self.mass_shell_defect()) <= tol * scale
 
     @classmethod
     def on_shell_from_spatial(cls, m, spatial, sign: int = +1) -> "Momentum":

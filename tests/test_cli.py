@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from ddirac.cli import main
-from ddirac.lattice import LatticeBox, random_cochain
+from ddirac.lattice import Cochain, LatticeBox, random_cochain
 
 
 @pytest.fixture
@@ -94,6 +94,43 @@ def test_planewave_off_shell_is_negative_control(runner):
     assert entry["residuals"][0]["note"] == "expected nonzero residual"
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_planewave_overflow_fails_with_strict_json(runner):
+    """The wave factor (1 + 100i)^199 overflows: the residuals are not
+    finite, so the run fails and reports them as null."""
+    result = runner.invoke(main, ["planewave", "--extents", "200,2,2,2",
+                                  "--p", "100,0,0"])
+    assert result.exit_code != 0
+    doc = _strict_json(result.stdout)
+    (entry,) = doc["entries"]
+    assert entry["on_shell"]
+    assert doc["summary"]["failures"] == 4
+    assert all(r["operator"] is None for r in entry["residuals"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_dk_check_overflow_fails_with_strict_json(runner, tmp_path):
+    box = LatticeBox((3, 3, 3, 3))
+    data = np.zeros((16,) + box.extents)
+    data[0] = 1e308
+    data[0, 1] = -1e308  # forward differences along direction 0 overflow
+    path = tmp_path / "huge.json"
+    Cochain(box, data).save(path)
+    result = runner.invoke(main, ["dk-check", "--extents", "3,3,3,3",
+                                  "--input", str(path)])
+    assert result.exit_code == 1
+    doc = _strict_json(result.stdout)
+    assert not doc["finite"]
+
+
 def test_planewave_scan_file(runner, tmp_path):
     scan = [{"mass": 1.0, "p": list(np.array([np.sqrt(1.25), 0.5, 0.0, 0.0]))},
             {"mass": 1.0, "p": [-np.sqrt(2.0), 1.0, 0.0, 0.0]}]
@@ -126,7 +163,7 @@ def test_report_written_to_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["command"] == "verify-clifford"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_csv_format(runner):

@@ -12,7 +12,7 @@ from ddirac.clifford import (
     reduce_word,
     unit_form,
 )
-from ddirac.lattice import LatticeBox, random_cochain
+from ddirac.lattice import BoundaryPolicy, LatticeBox, random_cochain
 from ddirac.multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS
 
 
@@ -127,6 +127,27 @@ def test_left_multiplication_matches_dense_oracle(rng):
         mat = oracle.assemble_left_mult(dirs, box)
         fast = oracle.flatten(mul_basis_left(dirs, w))
         assert np.abs(mat @ oracle.flatten(w) - fast).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kinds", [("complex", "complex"), ("real", "complex"),
+                                   ("complex", "real")])
+def test_product_matches_gamma_matrix_oracle(rng, kinds):
+    box = LatticeBox((3, 3, 3, 3))
+    for _ in range(3):
+        a = random_cochain(box, rng, scalar_kind=kinds[0])
+        b = random_cochain(box, rng, scalar_kind=kinds[1])
+        fast = clifford_mul(a, b)
+        diff = (fast - oracle.gamma_product(a, b)).max_abs()
+        assert diff <= 1e-13 * fast.max_abs()
+
+
+@pytest.mark.parametrize("extents", [(1, 4, 4, 4), (4, 4, 1, 4)])
+def test_first_order_operator_equivalence_with_unit_extent(rng, extents):
+    """A direction with one point has no forward neighbour: its difference
+    reads zero beyond the box, like every other out-of-box read."""
+    w = random_cochain(LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND), rng)
+    diff = (dirac_clifford(w) - dirac_operator(w)).max_abs()
+    assert diff <= 1e-13 * w.max_abs()
 
 
 def test_first_order_operator_equivalence(rng, box4):

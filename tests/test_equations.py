@@ -73,6 +73,15 @@ def test_hestenes_stencil_covers_even_components():
     assert all(len(terms) == 4 for terms in HESTENES_STENCIL.values())
 
 
+@pytest.mark.parametrize("extents", [(1, 4, 4, 4), (4, 4, 1, 4)])
+def test_dk_stencil_matches_operator_with_unit_extent(rng, extents):
+    w = random_cochain(LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND), rng)
+    a = dk_residual_operator(w, 1.3)
+    b = dk_residual_stencil(w, 1.3)
+    assert a.region == b.region == extents
+    assert (a.residual - b.residual).max_abs() <= 1e-13 * w.max_abs()
+
+
 def test_hestenes_stencil_matches_operator(rng, box4):
     for _ in range(10):
         w = random_cochain(box4, rng, scalar_kind="real", degrees={0, 2, 4})

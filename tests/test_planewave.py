@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddirac.calculus import delta_mu
 from ddirac.clifford import clifford_mul, mul_basis_right, unit_form
@@ -48,6 +50,23 @@ def test_momentum_validation():
     assert mom.p[0] < 0
     assert mom.on_shell()
     assert not Momentum(1.0, (2.0, 0, 0, 0)).on_shell()
+
+
+def test_large_momentum_is_on_shell():
+    """Rounding in p0^2 grows with |p|; the shell test scales with it."""
+    assert Momentum.on_shell_from_spatial(1.0, (1e4, 3e3, 0.1)).on_shell(1e-9)
+
+
+@given(size=st.floats(1e-6, 1e6),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: np.linalg.norm(d) > 1e-3),
+       m=st.floats(1e-2, 1e2),
+       sign=st.sampled_from([1, -1]))
+def test_shell_test_is_relative(size, direction, m, sign):
+    spatial = size * np.asarray(direction) / np.linalg.norm(direction)
+    mom = Momentum.on_shell_from_spatial(m, spatial, sign)
+    assert mom.on_shell()
+    assert not Momentum(m, (mom.p[0] * (1 + 1e-6),) + mom.p[1:]).on_shell()
 
 
 def test_wave_form_fast_matches_slow(rng):

@@ -67,3 +67,22 @@ def test_bad_multiindex_key_rejected(rng):
     doc["components"]["1"]["7"] = [0.0, 0.0]
     with pytest.raises(ValueError):
         Cochain.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, "1"])
+def test_other_schema_version_rejected(rng, version):
+    doc = random_cochain(LatticeBox((1, 1, 1, 1)), rng).to_json_dict()
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    with pytest.raises(ValueError, match="schema_version"):
+        Cochain.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None])
+def test_non_finite_component_rejected(rng, bad):
+    doc = random_cochain(LatticeBox((1, 1, 1, 2)), rng, degrees={0}).to_json_dict()
+    doc["components"]["0"][""][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Cochain.from_json_dict(doc)
