@@ -70,6 +70,18 @@ def _dumps(doc: dict) -> str:
                       allow_nan=False) + "\n"
 
 
+def _worst(current: float, value: float) -> float:
+    """Running maximum in which NaN wins (``max(0.0, nan)`` is 0.0), so a
+    non-finite value fails the check it is folded into."""
+    return float(np.maximum(current, value))
+
+
+def _json_only(command: str, fmt: str):
+    if fmt == "csv":
+        raise click.UsageError(f"{command} writes a JSON report; --format csv "
+                               "is not supported")
+
+
 def _emit_json(doc: dict, out: str | None):
     text = _dumps(doc)
     if out:
@@ -190,10 +202,10 @@ def verify_calculus(extents, seed, policy, tol_rel, out, fmt, trials):
         for r in range(5):
             w = random_cochain(box, rng, degrees={r})
             scale = max(w.max_abs(), 1e-300)
-            worst_dd = max(worst_dd, d_c(d_c(w)).max_abs() / scale)
-            worst_deldel = max(worst_deldel,
-                               codifferential(codifferential(w)).max_abs() / scale)
-            worst_cross = max(
+            worst_dd = _worst(worst_dd, d_c(d_c(w)).max_abs() / scale)
+            worst_deldel = _worst(worst_deldel,
+                                  codifferential(codifferential(w)).max_abs() / scale)
+            worst_cross = _worst(
                 worst_cross,
                 (codifferential(w) - codifferential(w, "composite")).max_abs() / scale)
     report.add("calculus", "nilpotency_dc", worst_dd <= cross_tol, rel=worst_dd)
@@ -214,7 +226,7 @@ def verify_calculus(extents, seed, policy, tol_rel, out, fmt, trials):
     for _ in range(max(trials // 4, 1)):
         phi = random_cochain(gbox, rng)
         om = random_cochain(gbox, rng)
-        worst_green = max(worst_green, abs(
+        worst_green = _worst(worst_green, abs(
             green_defect(phi, om) - oracle.green_boundary_term(phi, om)))
     report.add("calculus", "green_formula_vs_chain_oracle", worst_green <= 1e-12,
                max_abs=worst_green)
@@ -258,7 +270,7 @@ def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
     for _ in range(trials):
         w = random_cochain(box, rng)
         diff = (dirac_clifford(w) - dirac_operator(w)).max_abs(1)
-        worst = max(worst, diff / max(w.max_abs(), 1e-300))
+        worst = _worst(worst, diff / max(w.max_abs(), 1e-300))
     report.add("clifford", "first_order_operator_equivalence", worst <= 1e-12,
                rel=worst)
 
@@ -267,6 +279,7 @@ def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
 
 def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
                       input_path, operator_fn, stencil_fn, random_kwargs):
+    _json_only(name, fmt)
     box = LatticeBox(extents, policy)
     rng = np.random.default_rng(seed)
     if input_path:
@@ -334,6 +347,7 @@ def hestenes_check(extents, seed, policy, tol_rel, out, fmt, mass, input_path):
 def planewave(extents, seed, policy, tol_rel, out, fmt, mass, spatial, p0, kind,
               scan):
     """Construct plane-wave solutions and verify their residuals."""
+    _json_only("planewave", fmt)
     box = LatticeBox(extents, policy)
     momenta = []
     if scan:
@@ -366,7 +380,7 @@ def planewave(extents, seed, policy, tol_rel, out, fmt, mass, spatial, p0, kind,
                 r_op = hestenes_residual_operator(sol, mom.m)
                 r_st = hestenes_residual_stencil(sol, mom.m)
                 residuals.append({"operator": r_op.rel, "stencil": r_st.rel})
-                if not (r_op.rel <= tol_rel) or not math.isfinite(r_st.rel):
+                if not (r_op.rel <= tol_rel) or not (r_st.rel <= tol_rel):
                     failures += 1
             entry["amplitudes"] = [list(a.as_vector()) for a in basis]
             entry["residuals"] = residuals

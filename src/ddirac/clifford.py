@@ -62,7 +62,7 @@ def build_table() -> CliffordTable:
 def clifford_mul(a: Cochain, b: Cochain) -> Cochain:
     """Pointwise Clifford product of two (possibly inhomogeneous) forms."""
     a._check_compatible(b)
-    out = np.zeros_like(a.data)
+    out = np.zeros(a.data.shape, dtype=np.result_type(a.data, b.data))
     for (mi_a, mi_b), (sign, res) in build_table().entries.items():
         out[SLOT_OF[res]] += sign * a.data[SLOT_OF[mi_a]] * b.data[SLOT_OF[mi_b]]
     kind = "real" if a.scalar_kind == b.scalar_kind == "real" else "complex"
@@ -71,7 +71,7 @@ def clifford_mul(a: Cochain, b: Cochain) -> Cochain:
 
 def unit_form(dirs, box: LatticeBox, tilde: bool = False) -> Cochain:
     """Constant form with the given component identically 1 (x, e_mu, ...)."""
-    data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+    data = np.zeros((NSLOTS,) + box.extents)
     data[SLOT_OF[validate(dirs)]] = 1.0
     return Cochain(box, data, "real", tilde)
 

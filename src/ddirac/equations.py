@@ -87,11 +87,11 @@ def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     """Same residual evaluated from the 16 literal difference equations."""
     _check_mass(m)
-    out = apply_stencil(omega.data, DK_STENCIL)
+    out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
     # scaled in place: no second full-size array beside the m*omega term
     out *= 1j
     out -= m * omega.data
-    return _summarize(omega.like(out), omega, depth=1)
+    return _summarize(omega.like(out, scalar_kind="complex"), omega, depth=1)
 
 
 # --- Hestenes equation: -(D Omega_ev) e1 e2 = m Omega_ev e0 ------------------
@@ -143,4 +143,4 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     for rhs_mi in HESTENES_STENCIL:
         sign_c, slot_mi = table.product(rhs_mi, (0,))
         out[SLOT_OF[slot_mi]] = sign_c * lines[SLOT_OF[rhs_mi]]
-    return _summarize(omega_ev.like(out, scalar_kind="complex"), omega_ev, depth=1)
+    return _summarize(omega_ev.like(out), omega_ev, depth=1)

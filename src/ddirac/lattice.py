@@ -1,9 +1,14 @@
 """Finite lattice box and graded cochain storage.
 
 A cochain stores all 16 component fields (one per multi-index slot) as a
-single complex array of shape (16, N0, N1, N2, N3), structure-of-arrays over
-the lattice.  Components a form does not use are simply zero, so homogeneous
-and inhomogeneous forms share one representation.
+single array of shape (16, N0, N1, N2, N3), structure-of-arrays over the
+lattice: float64 for real-kind cochains, complex128 for complex-kind ones.
+Components a form does not use are simply zero, so homogeneous and
+inhomogeneous forms share one representation.
+
+A real-kind cochain is checked for imaginary parts only where complex data
+enters it (JSON load, ``from_components``, a caller's array); arithmetic on
+real-kind cochains stays float64 and is never re-scanned.
 
 Out-of-box reads are governed by the box's boundary policy:
 
@@ -86,17 +91,20 @@ class Cochain:
         if scalar_kind not in ("real", "complex"):
             raise ValueError(f"scalar_kind must be 'real' or 'complex', got {scalar_kind!r}")
         shape = (NSLOTS,) + box.extents
+        dtype = np.float64 if scalar_kind == "real" else np.complex128
         if data is None:
-            data = np.zeros(shape, dtype=np.complex128)
+            data = np.zeros(shape, dtype=dtype)
         else:
-            data = np.asarray(data, dtype=np.complex128)
+            data = np.asarray(data)
             if data.shape != shape:
                 raise ValueError(f"data shape {data.shape} != {shape}")
-        if scalar_kind == "real":
-            scale = max(np.abs(data.real).max(), 1.0)
-            if np.abs(data.imag).max() > REAL_IMAG_TOL * scale:
-                raise ValueError("real-kind cochain has nonzero imaginary parts")
-            data = data.real.astype(np.complex128)
+            if scalar_kind == "real" and np.iscomplexobj(data):
+                scale = max(1.0, np.abs(data.real).max())
+                # written so that a NaN imaginary part fails too
+                if not np.abs(data.imag).max() <= REAL_IMAG_TOL * scale:
+                    raise ValueError("real-kind cochain has nonzero imaginary parts")
+                data = data.real
+            data = np.ascontiguousarray(data, dtype=dtype)
         self.box = box
         self.data = data
         self.scalar_kind = scalar_kind
@@ -167,8 +175,9 @@ class Cochain:
 
     def __mul__(self, scalar):
         c = complex(scalar)
-        kind = "real" if self.scalar_kind == "real" and c.imag == 0 else "complex"
-        return Cochain(self.box, self.data * c, kind, self.tilde)
+        if self.scalar_kind == "real" and c.imag == 0:
+            return self.like(self.data * c.real)
+        return Cochain(self.box, self.data * c, "complex", self.tilde)
 
     __rmul__ = __mul__
 
@@ -220,8 +229,10 @@ class Cochain:
         return cls(box, data, doc.get("scalar_kind", "complex"), doc.get("tilde", False))
 
     def save(self, path):
+        # one C-encoded string: json.dump would stream through the
+        # pure-Python encoder
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
@@ -232,11 +243,11 @@ class Cochain:
 def random_cochain(box, rng, scalar_kind="complex", degrees=None,
                    tilde=False) -> Cochain:
     """Seeded random form with components uniform in [-1, 1] (per part)."""
-    data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+    out = Cochain.zeros(box, scalar_kind, tilde)
     for slot, mi in enumerate(ALL_INDEXES):
         if degrees is not None and len(mi) not in degrees:
             continue
-        data[slot] = rng.uniform(-1.0, 1.0, box.extents)
+        out.data[slot] = rng.uniform(-1.0, 1.0, box.extents)
         if scalar_kind == "complex":
-            data[slot] += 1j * rng.uniform(-1.0, 1.0, box.extents)
-    return Cochain(box, data, scalar_kind, tilde)
+            out.data[slot] += 1j * rng.uniform(-1.0, 1.0, box.extents)
+    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import build_table, clifford_mul
+from .clifford import build_table, mul_basis_left, mul_basis_right
 from .lattice import Cochain, LatticeBox
 from .multiindex import NSLOTS, SLOT_OF
 
@@ -32,6 +32,9 @@ MINUS_BASIS = ((0, 1), (0, 2), (0, 3), (0, 1, 2, 3))  # anticommutes with e0
 
 X_SLOT = SLOT_OF[()]
 E12_SLOT = SLOT_OF[(1, 2)]
+#: One-point box: a constant form on it holds its 16 coefficients in an
+#: array of shape (16, 1, 1, 1, 1), which broadcasts over any box.
+_POINT = LatticeBox((1, 1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def psi(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
         shape = [1, 1, 1, 1]
         shape[mu] = n
         w = w * factor.reshape(shape)
-    data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+    data = np.zeros((NSLOTS,) + box.extents)
     data[X_SLOT] = w.real
     data[E12_SLOT] = w.imag
     return Cochain(box, data, "real")
@@ -111,7 +114,7 @@ def psi_slow(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
             row.append(mul_pair(row[-1], factor))
         powers.append(row)
 
-    data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+    data = np.zeros((NSLOTS,) + box.extents)
     for k in np.ndindex(box.extents):
         acc = (1.0, 0.0)
         for mu in range(4):
@@ -160,7 +163,7 @@ class EvenAmplitude:
         return cls(**{cls._FIELD_BY_MI[mi]: float(c) for mi, c in coeffs.items()})
 
     def as_cochain(self, box: LatticeBox) -> Cochain:
-        data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+        data = np.zeros((NSLOTS,) + box.extents)
         for mi, name in self._FIELD_BY_MI.items():
             data[SLOT_OF[mi]] = getattr(self, name)
         return Cochain(box, data, "real")
@@ -225,8 +228,17 @@ def amplitude_from_minus(kind: str, momentum: Momentum, minus) -> EvenAmplitude:
 
 def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
              box: LatticeBox) -> Cochain:
-    """The candidate solution: constant amplitude times the wave form."""
-    return clifford_mul(amplitude.as_cochain(box), psi(kind, momentum, box))
+    """The candidate solution: constant amplitude times the wave form.
+
+    The wave form is psi_k x + phi_k e12, so A * wave = psi_k A + phi_k (A e12):
+    two broadcasts of constant coefficient vectors, the same numbers as the
+    general ``clifford_mul`` (whose other terms all multiply by zero).
+    """
+    coeffs = amplitude.as_cochain(_POINT)
+    coeffs_e12 = mul_basis_right(coeffs, (1, 2))
+    wave = psi(kind, momentum, box).data
+    data = coeffs.data * wave[X_SLOT] + coeffs_e12.data * wave[E12_SLOT]
+    return Cochain(box, data, "real")
 
 
 def solution_basis(kind: str, momentum: Momentum) -> list[EvenAmplitude]:
@@ -278,16 +290,14 @@ def commutation_checks(rng=None) -> dict:
     halves (i = 1, 2, 3).  Returns per-check booleans.
     """
     rng = np.random.default_rng(rng)
-    box = LatticeBox((1, 1, 1, 1))
     amp = EvenAmplitude.from_parts(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
-    from .clifford import mul_basis_left, mul_basis_right
 
     report = {}
     for name in ("plus", "minus"):
         form = EvenAmplitude.from_parts(
             amp.plus_part() if name == "plus" else np.zeros(4),
             amp.minus_part() if name == "minus" else np.zeros(4),
-        ).as_cochain(box)
+        ).as_cochain(_POINT)
         expect = 1.0 if name == "plus" else -1.0
         left = mul_basis_left((0,), form)
         right = expect * mul_basis_right(form, (0,))

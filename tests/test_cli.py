@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ddirac.cli
 from ddirac.cli import main
+from ddirac.equations import EquationResidual
 from ddirac.lattice import Cochain, LatticeBox, random_cochain
 
 
@@ -196,3 +198,53 @@ def test_env_var_configures_option(runner):
     assert result.exit_code == 0, result.output
     doc = _json_tail(result.output)
     assert doc["config"]["extents"] == [2, 2, 2, 2]
+
+
+def _nan_form(form):
+    return form.like(np.full_like(form.data, np.nan))
+
+
+def _result(doc, test):
+    (entry,) = [r for r in doc["results"] if r["test"] == test]
+    return entry
+
+
+def test_verify_calculus_nan_fails(runner, monkeypatch):
+    """max(0.0, nan) is 0.0: a NaN worst value must not fold away."""
+    monkeypatch.setattr(ddirac.cli, "d_c", _nan_form)
+    result = runner.invoke(main, ["verify-calculus", "--extents", "2,2,2,2",
+                                  "--trials", "1"])
+    assert result.exit_code == 1, result.output
+    entry = _result(_json_tail(result.output), "nilpotency_dc")
+    assert not entry["passed"] and entry["rel"] is None
+
+
+def test_verify_clifford_nan_fails(runner, monkeypatch):
+    monkeypatch.setattr(ddirac.cli, "dirac_clifford", _nan_form)
+    result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
+                                  "--trials", "2"])
+    assert result.exit_code == 1, result.output
+    entry = _result(_json_tail(result.output), "first_order_operator_equivalence")
+    assert not entry["passed"] and entry["rel"] is None
+
+
+def test_planewave_fails_on_stencil_residual(runner, monkeypatch):
+    stencil = ddirac.cli.hestenes_residual_stencil
+
+    def off_by_one(omega, m):
+        res = stencil(omega, m)
+        return EquationResidual(res.residual, res.max_abs, 1.0, res.region)
+
+    monkeypatch.setattr(ddirac.cli, "hestenes_residual_stencil", off_by_one)
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])
+    assert result.exit_code == 1, result.output
+    doc = json.loads(result.output)
+    assert doc["summary"]["failures"] == 4
+    assert all(r["stencil"] == 1.0 for r in doc["entries"][0]["residuals"])
+
+
+@pytest.mark.parametrize("command", ["dk-check", "hestenes-check", "planewave"])
+def test_csv_rejected_where_report_is_json_only(runner, command):
+    result = runner.invoke(main, [command, "--extents", "3,3,3,3", "--format", "csv"])
+    assert result.exit_code == 2
+    assert "--format csv" in result.output

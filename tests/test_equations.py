@@ -130,3 +130,19 @@ def test_dk_equation_relates_to_first_order_operator(rng, box4):
     res = dk_residual_operator(w, 2.0).residual
     direct = 1j * dirac_operator(w) - 2.0 * w
     assert (res - direct).max_abs() == 0.0
+
+
+def test_dk_stencil_accepts_real_input(rng, box4):
+    w = random_cochain(box4, rng, scalar_kind="real")
+    a = dk_residual_operator(w, 1.2)
+    b = dk_residual_stencil(w, 1.2)
+    assert a.residual.scalar_kind == b.residual.scalar_kind == "complex"
+    assert b.residual.data.dtype == np.complex128
+    assert _rel_diff(a, b, w.max_abs()) <= 1e-13
+
+
+def test_hestenes_residuals_are_real_kind(rng, box4):
+    w = random_cochain(box4, rng, scalar_kind="real", degrees={0, 2, 4})
+    for route in (hestenes_residual_operator, hestenes_residual_stencil):
+        res = route(w, 0.8).residual
+        assert res.scalar_kind == "real" and res.data.dtype == np.float64

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddirac.calculus import codifferential, d_c, star
+from ddirac.clifford import clifford_mul, mul_basis_right
 from ddirac.lattice import (
     BoundaryPolicy,
     Cochain,
@@ -49,6 +51,15 @@ def test_cochain_shape_and_kind_checks():
         Cochain(box, scalar_kind="rational")
     with pytest.raises(ValueError):
         Cochain(box, np.full((16,) + box.extents, 1j), scalar_kind="real")
+
+
+@pytest.mark.parametrize("imag", [float("nan"), float("inf")])
+def test_real_kind_rejects_non_finite_imaginary_parts(imag):
+    box = LatticeBox((1, 1, 1, 2))
+    data = np.zeros((16,) + box.extents, dtype=np.complex128)
+    data[0, 0, 0, 0, 1] = complex(1.0, imag)
+    with pytest.raises(ValueError, match="imaginary"):
+        Cochain(box, data, scalar_kind="real")
 
 
 def test_real_kind_tolerates_rounding_dust():
@@ -113,3 +124,63 @@ def test_component_view_is_live(seed, mi):
     rng = np.random.default_rng(seed)
     w = random_cochain(LatticeBox((2, 2, 2, 2)), rng)
     assert np.shares_memory(w.component(mi), w.data)
+
+
+def test_storage_dtype_follows_scalar_kind(rng):
+    box = LatticeBox((2, 1, 3, 2))
+    for kind, dtype in (("real", np.float64), ("complex", np.complex128)):
+        assert Cochain.zeros(box, kind).data.dtype == dtype
+        assert random_cochain(box, rng, scalar_kind=kind).data.dtype == dtype
+        assert Cochain.from_components(box, {(0, 1): 2.0}, kind).data.dtype == dtype
+        assert Cochain(box, np.ones((16,) + box.extents), kind).data.dtype == dtype
+
+
+def test_real_kind_float_data_is_kept_as_given():
+    box = LatticeBox((2, 2, 2, 2))
+    data = np.ones((16,) + box.extents)
+    assert Cochain(box, data, scalar_kind="real").data is data
+
+
+def test_real_random_cochain_keeps_draw_order():
+    """One uniform draw per slot, in slot order, as the complex kind's real
+    parts: seeded real inputs are the same numbers as before."""
+    box = LatticeBox((2, 3, 1, 2))
+    w = random_cochain(box, np.random.default_rng(3), scalar_kind="real", degrees={1, 3})
+    rng = np.random.default_rng(3)
+    for slot, mi in enumerate(ALL_INDEXES):
+        expect = rng.uniform(-1.0, 1.0, box.extents) if len(mi) in (1, 3) else 0.0
+        assert np.array_equal(w.data[slot], np.broadcast_to(expect, box.extents))
+
+
+def _as_complex(w):
+    return Cochain(w.box, w.data.astype(np.complex128), "complex", w.tilde)
+
+
+@given(st.tuples(*[st.sampled_from([1, 2, 3])] * 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(ALL_INDEXES))
+@settings(max_examples=40, deadline=None)
+def test_real_kind_operations_stay_float64_and_match_complex(extents, seed, dirs):
+    """Real-kind results are float64 and equal, bit for bit, the real part of
+    the same operation on complex-kind copies, whose imaginary part is zero."""
+    rng = np.random.default_rng(seed)
+    box = LatticeBox(extents)
+    a = random_cochain(box, rng, scalar_kind="real")
+    b = random_cochain(box, rng, scalar_kind="real")
+    ca, cb = _as_complex(a), _as_complex(b)
+    ops = {
+        "add": lambda x, y: x + y,
+        "sub": lambda x, y: x - y,
+        "scale": lambda x, y: 2.0 * x,
+        "neg": lambda x, y: -x,
+        "star": lambda x, y: star(x),
+        "d_c": lambda x, y: d_c(x),
+        "codifferential": lambda x, y: codifferential(x),
+        "clifford_mul": clifford_mul,
+        "mul_basis_right": lambda x, y: mul_basis_right(x, dirs),
+    }
+    for name, op in ops.items():
+        real, cplx = op(a, b), op(ca, cb)
+        assert real.scalar_kind == "real" and real.data.dtype == np.float64, name
+        assert cplx.data.dtype == np.complex128, name
+        assert np.array_equal(real.data, cplx.data.real), name
+        assert not np.any(cplx.data.imag), name

@@ -218,10 +218,20 @@ def test_coupling_system_annihilates_solutions(rng):
 
 
 def test_solution_is_amplitude_times_wave(rng):
-    mom = Momentum.on_shell_from_spatial(1.0, (0.2, 0.1, -0.3))
-    amp = solution_basis("minus", mom)[0]
-    direct = clifford_mul(amp.as_cochain(BOX5), psi("minus", mom, BOX5))
-    assert (solution("minus", mom, amp, BOX5) - direct).max_abs() == 0.0
+    """The two-broadcast solution gives the very numbers of the general
+    256-term Clifford product, off shell and for arbitrary amplitudes too."""
+    box = LatticeBox((4, 3, 2, 5))
+    momenta = _random_momenta(rng, 4) + _random_momenta(rng, 4, on_shell=False)
+    for mom in momenta:
+        for kind in ("plus", "minus"):
+            amps = [EvenAmplitude(*rng.uniform(-1, 1, 8))]
+            if mom.on_shell():
+                amps += solution_basis(kind, mom)
+            for amp in amps:
+                sol = solution(kind, mom, amp, box)
+                direct = clifford_mul(amp.as_cochain(box), psi(kind, mom, box))
+                assert sol.scalar_kind == "real" and sol.data.dtype == np.float64
+                assert np.array_equal(sol.data, direct.data)
 
 
 def test_unit_wave_at_origin():

@@ -86,3 +86,30 @@ def test_non_finite_component_rejected(rng, bad):
     doc["components"]["0"][""][1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         Cochain.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_save_writes_one_json_document(rng, tmp_path, kind):
+    w = random_cochain(LatticeBox((2, 3, 1, 2)), rng, scalar_kind=kind, degrees={0, 2})
+    path = tmp_path / "form.json"
+    w.save(path)
+    assert path.read_text() == json.dumps(w.to_json_dict())
+    back = Cochain.load(path)
+    assert back.scalar_kind == kind
+    assert back.data.dtype == w.data.dtype
+    assert back.data.tobytes() == w.data.tobytes()
+
+
+def test_real_kind_file_loads_as_float64(rng, tmp_path):
+    """The on-disk format keeps its zero imaginary parts for the real kind."""
+    w = random_cochain(LatticeBox((2, 2, 1, 2)), rng, scalar_kind="real", degrees={2})
+    doc = w.to_json_dict()
+    assert doc["scalar_kind"] == "real"
+    flat = doc["components"]["2"]["01"]
+    assert flat[1::2] == [0.0] * (len(flat) // 2)
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(doc))
+    back = Cochain.load(path)
+    assert back.scalar_kind == "real" and back.data.dtype == np.float64
+    assert np.array_equal(back.data, w.data)
+    assert back.to_json_dict() == doc
