@@ -145,7 +145,9 @@ def codifferential(form: Cochain, method: str = "stencil") -> Cochain:
 
 def dirac_operator(form: Cochain) -> Cochain:
     """First-order operator d_c + codifferential."""
-    return d_c(form) + codifferential(form)
+    out = d_c(form)
+    out.data += codifferential(form).data
+    return out
 
 
 def inner_product(phi: Cochain, omega: Cochain) -> complex:

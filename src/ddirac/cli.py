@@ -18,6 +18,7 @@ import time
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import oracle
 from .calculus import (
@@ -80,6 +81,16 @@ def _json_only(command: str, fmt: str):
     if fmt == "csv":
         raise click.UsageError(f"{command} writes a JSON report; --format csv "
                                "is not supported")
+
+
+def _reject_tol_rel(command: str):
+    """The residual checks pass or fail on the fixed CROSS_TOL alone, so a
+    --tol-rel the user sets would be ignored."""
+    source = click.get_current_context().get_parameter_source("tol_rel")
+    if source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
+        raise click.UsageError(f"{command} has no --tol-rel check; its exit "
+                               f"status rests on the fixed {CROSS_TOL:g} "
+                               "operator/stencil cross-check")
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -280,6 +291,7 @@ def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
 def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
                       input_path, operator_fn, stencil_fn, random_kwargs):
     _json_only(name, fmt)
+    _reject_tol_rel(name)
     box = LatticeBox(extents, policy)
     rng = np.random.default_rng(seed)
     if input_path:

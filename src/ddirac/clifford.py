@@ -76,14 +76,28 @@ def unit_form(dirs, box: LatticeBox, tilde: bool = False) -> Cochain:
     return Cochain(box, data, "real", tilde)
 
 
-def _shuffle(form: Cochain, dirs, side: str) -> Cochain:
+@lru_cache(maxsize=None)
+def _shuffle_map(dirs: tuple[int, ...], side: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Multiplication by a unit basis form as a slot permutation: output slot
+    s reads input slot src[s], negated when s is in neg."""
     table = build_table()
-    dirs = validate(dirs)
-    out = np.zeros_like(form.data)
+    src = np.empty(NSLOTS, dtype=np.intp)
+    neg = []
     for mi in ALL_INDEXES:
         pair = (dirs, mi) if side == "left" else (mi, dirs)
         sign, res = table.entries[pair]
-        out[SLOT_OF[res]] += sign * form.data[SLOT_OF[mi]]
+        src[SLOT_OF[res]] = SLOT_OF[mi]
+        if sign < 0:
+            neg.append(SLOT_OF[res])
+    src.flags.writeable = False
+    return src, tuple(neg)
+
+
+def _shuffle(form: Cochain, dirs, side: str) -> Cochain:
+    src, neg = _shuffle_map(validate(dirs), side)
+    out = form.data[src]
+    for s in neg:
+        np.negative(out[s], out=out[s])
     return form.like(out)
 
 

@@ -186,7 +186,13 @@ class Cochain:
     def max_abs(self, depth: int = 0) -> float:
         """Max component magnitude, optionally over the depth-d interior."""
         view = self.data[interior_slices(depth)]
-        return float(np.abs(view).max()) if view.size else 0.0
+        if not view.size:
+            return 0.0
+        if self.scalar_kind == "real":
+            # no |view| temporary; np.maximum keeps a NaN, and abs() turns the
+            # -0.0 an all-zero view can give into 0.0
+            return float(abs(np.maximum(view.max(), -view.min())))
+        return float(np.abs(view).max())
 
     # -- serialization ---------------------------------------------------------
 

@@ -8,6 +8,8 @@ shared with the fast paths beyond the type layer.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .chains import basis_chain, boundary, chain_star
@@ -16,7 +18,8 @@ from .lattice import BoundaryPolicy, Cochain, LatticeBox
 from .multiindex import ALL_INDEXES, NSLOTS, SLOT_OF, levi_civita
 from .calculus import star
 
-MAX_COMPONENTS = 20_000
+#: 4^4 box: two 4096x4096 float64 matrices of 128 MB each.
+MAX_COMPONENTS = 4_096
 
 
 def _check_size(box: LatticeBox):
@@ -57,26 +60,44 @@ def assemble_dc(box: LatticeBox) -> np.ndarray:
     return mat
 
 
-def assemble_star(box: LatticeBox) -> np.ndarray:
-    """Dense signed permutation matrix of the Hodge star (tilde flag aside)."""
-    _check_size(box)
-    n = NSLOTS * box.npoints
-    mat = np.zeros((n, n))
-    eye = np.eye(box.npoints)
+def _star_permutation(box: LatticeBox) -> tuple[np.ndarray, np.ndarray]:
+    """The Hodge star (tilde flag aside) as a signed permutation of flat
+    indices: column j of its matrix holds sign[j] in row perm[j]."""
+    npts = box.npoints
+    perm = np.empty(NSLOTS * npts, dtype=np.intp)
+    sign = np.empty(NSLOTS * npts)
     for mi in ALL_INDEXES:
         comp = tuple(d for d in range(4) if d not in mi)
         q = -1 if 0 in mi else 1
-        sign = q * levi_civita(mi)
-        rows = slice(SLOT_OF[comp] * box.npoints, (SLOT_OF[comp] + 1) * box.npoints)
-        cols = slice(SLOT_OF[mi] * box.npoints, (SLOT_OF[mi] + 1) * box.npoints)
-        mat[rows, cols] = sign * eye
+        cols = slice(SLOT_OF[mi] * npts, (SLOT_OF[mi] + 1) * npts)
+        perm[cols] = SLOT_OF[comp] * npts + np.arange(npts)
+        sign[cols] = q * levi_civita(mi)
+    return perm, sign
+
+
+def assemble_star(box: LatticeBox) -> np.ndarray:
+    """Dense signed permutation matrix of the Hodge star (tilde flag aside)."""
+    _check_size(box)
+    perm, sign = _star_permutation(box)
+    mat = np.zeros((perm.size, perm.size))
+    mat[perm, np.arange(perm.size)] = sign
     return mat
 
 
 def assemble_codifferential(box: LatticeBox) -> np.ndarray:
-    """Dense codifferential as the matrix composition star . d_c . star."""
-    s = assemble_star(box)
-    return s @ assemble_dc(box) @ s
+    """Dense codifferential as the matrix composition star . d_c . star.
+
+    With S[perm[j], j] = sign[j], (S A S)[i, l] = sign[inv[i]] A[inv[i],
+    perm[l]] sign[l] for the inverse permutation inv: the products are
+    applied by indexing, not as two O(n^3) matrix products."""
+    dc = assemble_dc(box)
+    perm, sign = _star_permutation(box)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    mat = dc[np.ix_(inv, perm)]
+    mat *= sign[inv][:, None]
+    mat *= sign[None, :]
+    return mat
 
 
 def assemble_left_mult(dirs, box: LatticeBox) -> np.ndarray:
@@ -212,32 +233,50 @@ def _degree_part(cochain: Cochain, degree: int) -> Cochain:
     return cochain.like(out)
 
 
+@lru_cache(maxsize=16)
+def _volume_boundary_index(extents: tuple[int, ...], degree: int) -> tuple[np.ndarray, ...]:
+    """The boundary of the degree-d volume chain as index arrays, one entry
+    per term: (coefficient, left slot, left flat point, right slot, right
+    flat point), with flat point -1 for a point off the box."""
+    box = LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND)
+
+    def flat(k):
+        return int(np.ravel_multi_index(k, extents)) if box.contains(k) else -1
+
+    rows = [(coeff, SLOT_OF[mi], flat(k), SLOT_OF[mit], flat(kt))
+            for ((k, mi), (kt, mit)), coeff
+            in _product_boundary(_volume_chain(box, degree)).terms.items()]
+    columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T.copy()
+    columns.flags.writeable = False
+    return tuple(columns)
+
+
+def _padded(cochain: Cochain) -> np.ndarray:
+    """(16, npoints + 1) copy of the data whose last column, the one flat
+    point -1 reads, is zero."""
+    flat = cochain.data.reshape(NSLOTS, -1)
+    out = np.zeros((NSLOTS, flat.shape[1] + 1), dtype=flat.dtype)
+    out[:, :-1] = flat
+    return out
+
+
 def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
     """Boundary term of the Green formula evaluated at the chain level:
     for each degree r, pair the boundary of the degree-r volume chain with
     (degree r-1 part of phi) tensor star(conj(degree r part of omega))."""
-    box = LatticeBox(phi.box.extents, BoundaryPolicy.ZERO_EXTEND)
-
-    def read(cochain, mi, k):
-        if all(0 <= c < e for c, e in zip(k, box.extents)):
-            return cochain.component(mi)[tuple(k)]
-        return 0.0
-
+    extents = phi.box.extents
     total = 0.0 + 0.0j
     for r in range(1, 5):
         phi_r = _degree_part(phi, r - 1)
         omega_r = _degree_part(omega, r)
         if not (np.any(phi_r.data) and np.any(omega_r.data)):
             continue
-        star_conj = star(omega_r.like(np.conj(omega_r.data)))
+        left = _padded(phi_r)
+        right = _padded(star(omega_r.like(np.conj(omega_r.data))))
         # both diagonal volume chains can shed terms of bidegree (r-1, 4-r):
         # the left-factor boundary of the degree-r chain and the right-factor
         # boundary of the degree-(r-1) chain
         for vol_degree in (r - 1, r):
-            volume = _volume_chain(box, vol_degree)
-            for ((k, mi), (kt, mit)), coeff in _product_boundary(volume).terms.items():
-                left = read(phi_r, mi, k)
-                if left == 0.0:
-                    continue
-                total += coeff * left * read(star_conj, mit, kt)
+            coeff, mi, k, mit, kt = _volume_boundary_index(extents, vol_degree)
+            total += np.sum(coeff * left[mi, k] * right[mit, kt])
     return complex(total)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import build_table, mul_basis_left, mul_basis_right
 from .lattice import Cochain, LatticeBox
-from .multiindex import NSLOTS, SLOT_OF
+from .multiindex import EVEN_SLOTS, NSLOTS, SLOT_OF
 
 ONSHELL_TOL = 1e-12
 
@@ -76,8 +76,8 @@ def _kind_sign(kind: str) -> int:
     raise ValueError(f"kind must be 'plus' or 'minus', got {kind!r}")
 
 
-def psi(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
-    """The real even wave form: x-component psi_k, e12-component phi_k."""
+def _wave(kind: str, momentum: Momentum, box: LatticeBox) -> np.ndarray:
+    """psi_k + i phi_k = prod_mu (1 +/- i p_mu)^(k_mu) on the box."""
     sgn = _kind_sign(kind)
     w = np.ones(box.extents, dtype=np.complex128)
     for mu, (n, p) in enumerate(zip(box.extents, momentum.p)):
@@ -85,6 +85,12 @@ def psi(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
         shape = [1, 1, 1, 1]
         shape[mu] = n
         w = w * factor.reshape(shape)
+    return w
+
+
+def psi(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
+    """The real even wave form: x-component psi_k, e12-component phi_k."""
+    w = _wave(kind, momentum, box)
     data = np.zeros((NSLOTS,) + box.extents)
     data[X_SLOT] = w.real
     data[E12_SLOT] = w.imag
@@ -232,12 +238,19 @@ def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
 
     The wave form is psi_k x + phi_k e12, so A * wave = psi_k A + phi_k (A e12):
     two broadcasts of constant coefficient vectors, the same numbers as the
-    general ``clifford_mul`` (whose other terms all multiply by zero).
+    general ``clifford_mul`` (whose other terms all multiply by zero).  A and
+    A e12 are even, so only the 8 even slots are written; the odd ones stay
+    exactly zero even where the wave overflows.
     """
     coeffs = amplitude.as_cochain(_POINT)
     coeffs_e12 = mul_basis_right(coeffs, (1, 2))
-    wave = psi(kind, momentum, box).data
-    data = coeffs.data * wave[X_SLOT] + coeffs_e12.data * wave[E12_SLOT]
+    w = _wave(kind, momentum, box)
+    data = np.zeros((NSLOTS,) + box.extents)
+    term = np.empty(box.extents)
+    for s in EVEN_SLOTS:
+        np.multiply(coeffs.data[s], w.real, out=data[s])
+        np.multiply(coeffs_e12.data[s], w.imag, out=term)
+        data[s] += term
     return Cochain(box, data, "real")
 
 

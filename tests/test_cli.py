@@ -248,3 +248,15 @@ def test_csv_rejected_where_report_is_json_only(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3", "--format", "csv"])
     assert result.exit_code == 2
     assert "--format csv" in result.output
+
+
+@pytest.mark.parametrize("command", ["dk-check", "hestenes-check"])
+def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
+    result = runner.invoke(main, [command, "--extents", "3,3,3,3",
+                                  "--tol-rel", "1e-3"])
+    assert result.exit_code == 2
+    assert "--tol-rel" in result.output
+    env = {f"DDIRAC_{command.upper().replace('-', '_')}_TOL_REL": "1e-3"}
+    result = runner.invoke(main, [command, "--extents", "3,3,3,3"], env=env)
+    assert result.exit_code == 2
+    assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddirac.calculus import dirac_operator
+from ddirac.calculus import apply_stencil, dirac_operator
+from ddirac.clifford import build_table, mul_basis_right
 from ddirac.equations import (
     DK_STENCIL,
     HESTENES_STENCIL,
@@ -108,6 +111,16 @@ def test_hestenes_input_validation(rng, box4):
             random_cochain(box4, rng, scalar_kind="real", degrees={0, 2, 4}), 0.0)
 
 
+@pytest.mark.parametrize("route", [hestenes_residual_operator,
+                                   hestenes_residual_stencil])
+def test_hestenes_rejects_nan_odd_slot(rng, box4, route):
+    """NaN > 0 is False: a NaN odd slot must still count as odd content."""
+    w = random_cochain(box4, rng, scalar_kind="real", degrees={0, 2, 4})
+    w.data[ODD_SLOTS[2]] = np.nan
+    with pytest.raises(ValueError, match="even-degree"):
+        route(w, 1.0)
+
+
 def test_summary_region_shrinks_under_interior_policy(rng):
     w = random_cochain(LatticeBox((5, 5, 5, 5)), rng)
     res = dk_residual_operator(w, 1.0)
@@ -146,3 +159,33 @@ def test_hestenes_residuals_are_real_kind(rng, box4):
     for route in (hestenes_residual_operator, hestenes_residual_stencil):
         res = route(w, 0.8).residual
         assert res.scalar_kind == "real" and res.data.dtype == np.float64
+
+
+def _stencil_lines_then_moved(omega, m):
+    """Reference: evaluate the 8 lines in their right-hand-side slots, then
+    move each to its e0-image slot with the table sign."""
+    table = build_table()
+    lines = apply_stencil(omega.data, HESTENES_STENCIL)
+    lines -= m * omega.data
+    out = np.zeros_like(lines)
+    for rhs_mi in HESTENES_STENCIL:
+        sign_c, slot_mi = table.product(rhs_mi, (0,))
+        out[SLOT_OF[slot_mi]] = sign_c * lines[SLOT_OF[rhs_mi]]
+    return out
+
+
+@given(st.tuples(*[st.sampled_from([1, 2, 3])] * 4), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_hestenes_residuals_equal_their_composed_definitions(extents, seed, m):
+    """The in-place residual routes equal, under np.array_equal, the
+    residuals composed from whole-array operations."""
+    rng = np.random.default_rng(seed)
+    w = random_cochain(LatticeBox(extents), rng, scalar_kind="real",
+                       degrees={0, 2, 4})
+    composed = (-1 * mul_basis_right(dirac_operator(w), (1, 2))
+                - m * mul_basis_right(w, (0,)))
+    assert np.array_equal(hestenes_residual_operator(w, m).residual.data,
+                          composed.data)
+    assert np.array_equal(hestenes_residual_stencil(w, m).residual.data,
+                          _stencil_lines_then_moved(w, m))

@@ -118,6 +118,21 @@ def test_max_abs_interior_never_exceeds_full(degree, seed):
     assert w.max_abs(1) <= w.max_abs(0)
 
 
+@pytest.mark.parametrize("depth", [0, 1])
+def test_real_max_abs_keeps_nan_and_negative_extremes(rng, depth):
+    w = random_cochain(LatticeBox((3, 3, 3, 3)), rng, scalar_kind="real")
+    w.data[5, 0, 1, 0, 1] = -7.5  # inside the depth-1 interior
+    assert w.max_abs(depth) == 7.5
+    w.data[0, 1, 0, 1, 0] = np.nan
+    assert np.isnan(w.max_abs(depth))
+
+
+def test_real_max_abs_of_zeros_is_positive_zero():
+    w = Cochain.zeros(LatticeBox((2, 2, 2, 2)), "real")
+    w.data[3] = -0.0
+    assert str(w.max_abs()) == "0.0"
+
+
 @given(st.integers(0, 1000), st.sampled_from(ALL_INDEXES))
 @settings(max_examples=25, deadline=None)
 def test_component_view_is_live(seed, mi):

@@ -23,8 +23,13 @@ def test_flat_index_matches_layout(rng):
 
 
 def test_size_guard():
-    with pytest.raises(ValueError):
-        oracle.assemble_dc(LatticeBox((8, 8, 8, 8)))
+    for extents in [(8, 8, 8, 8), (4, 4, 4, 5)]:
+        with pytest.raises(ValueError):
+            oracle.assemble_dc(LatticeBox(extents))
+
+
+def test_size_guard_admits_the_4x4x4x4_box():
+    oracle._check_size(LatticeBox((4, 4, 4, 4)))
 
 
 def test_dense_coboundary_matches_fast_path(rng):
@@ -47,6 +52,12 @@ def test_dense_star_is_signed_involution(rng):
     assert np.all(np.abs(s).sum(axis=1) == 1.0)
     w = random_cochain(BOX3, rng)
     assert np.abs(s @ oracle.flatten(w) - oracle.flatten(star(w))).max() == 0.0
+
+
+def test_dense_codifferential_equals_star_products():
+    s = oracle.assemble_star(BOX3)
+    assert np.array_equal(oracle.assemble_codifferential(BOX3),
+                          s @ oracle.assemble_dc(BOX3) @ s)
 
 
 def test_dense_codifferential_matches_both_routes(rng):
@@ -84,3 +95,41 @@ def test_boundary_term_single_cell():
     from ddirac.calculus import green_defect
     assert term == pytest.approx(green_defect(phi, omega), abs=1e-14)
     assert term == pytest.approx(2.0)
+
+
+def _green_term_per_cell(phi, omega):
+    """Reference: the boundary term summed one product-chain term at a time."""
+    box = LatticeBox(phi.box.extents, BoundaryPolicy.ZERO_EXTEND)
+
+    def read(cochain, mi, k):
+        return cochain.component(mi)[tuple(k)] if box.contains(k) else 0.0
+
+    total = 0.0 + 0.0j
+    for r in range(1, 5):
+        phi_r = oracle._degree_part(phi, r - 1)
+        omega_r = oracle._degree_part(omega, r)
+        if not (np.any(phi_r.data) and np.any(omega_r.data)):
+            continue
+        star_conj = star(omega_r.like(np.conj(omega_r.data)))
+        for vol_degree in (r - 1, r):
+            volume = oracle._volume_chain(box, vol_degree)
+            for ((k, mi), (kt, mit)), coeff in oracle._product_boundary(volume).terms.items():
+                left = read(phi_r, mi, k)
+                if left == 0.0:
+                    continue
+                total += coeff * left * read(star_conj, mit, kt)
+    return complex(total)
+
+
+@pytest.mark.parametrize("extents", [(2, 2, 2, 2), (2, 2, 3, 2)])
+def test_green_boundary_term_matches_per_cell_sum(rng, extents):
+    box = LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND)
+    for _ in range(3):
+        phi = random_cochain(box, rng)
+        omega = random_cochain(box, rng)
+        ref = _green_term_per_cell(phi, omega)
+        assert abs(oracle.green_boundary_term(phi, omega) - ref) <= 1e-13 * abs(ref)
+    zero = Cochain.zeros(box)
+    assert oracle.green_boundary_term(zero, zero) == 0.0
+    assert oracle.green_boundary_term(phi, zero) == 0.0
+    assert oracle.green_boundary_term(zero, omega) == 0.0
