@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import orjson
@@ -223,3 +225,40 @@ def test_save_refuses_non_finite_data_and_writes_nothing(rng, tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         w.save(path)
     assert path.read_text() == "earlier contents"
+
+
+def test_save_over_a_longer_file_leaves_only_the_new_bytes(rng, tmp_path):
+    path = tmp_path / "form.json"
+    small = random_cochain(LatticeBox((2, 2, 1, 2)), rng, scalar_kind="real", degrees={2})
+    path.write_bytes(b"x" * 100_000)
+    small.save(path)
+    assert path.read_bytes() == orjson.dumps(small.to_json_dict())
+    random_cochain(LatticeBox((3, 3, 2, 2)), rng).save(path)
+    small.save(path)
+    assert path.read_bytes() == orjson.dumps(small.to_json_dict())
+    assert Cochain.load(path).data.tobytes() == small.data.tobytes()
+
+
+def test_failed_save_leaves_an_empty_file(rng, tmp_path, monkeypatch):
+    """A save that stops part way must not leave its start in front of the
+    end of the file it was writing over."""
+    path = tmp_path / "form.json"
+    path.write_bytes(b"x" * 100_000)
+    w = random_cochain(LatticeBox((2, 2, 1, 2)), rng)
+    written = []
+
+    def half_then_disk_full(fd, data):
+        if written:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written.append(len(data) // 2)
+        return os.pwrite(fd, data[:written[0]], 0)
+
+    monkeypatch.setattr(os, "write", half_then_disk_full)
+    with pytest.raises(OSError, match="No space"):
+        w.save(path)
+    monkeypatch.undo()
+    assert written and path.read_bytes() == b""
+
+
+def test_save_to_a_device_writes_without_truncating(rng):
+    random_cochain(LatticeBox((2, 2, 1, 2)), rng).save(os.devnull)
