@@ -25,7 +25,6 @@ from .equations import (
     EquationResidual,
     dk_residual_operator,
     dk_residual_stencil,
-    even_odd_split,
     hestenes_residual_operator,
     hestenes_residual_stencil,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "dk_residual_operator",
     "dk_residual_stencil",
     "enumerate_basis",
-    "even_odd_split",
     "green_defect",
     "hestenes_residual_operator",
     "hestenes_residual_stencil",

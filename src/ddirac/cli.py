@@ -1,10 +1,12 @@
 """Command-line verification harness.
 
-Runs the property suites and plane-wave campaigns with seeded random inputs
-and emits machine-readable reports (JSON, or CSV for residual tables).  All
-randomness is driven by --seed, so identical configurations reproduce
-byte-identical reports up to the timestamp field.  Every option can also be
-set through a DDIRAC_* environment variable.
+Runs the property suites and plane-wave campaigns with seeded random inputs.
+Every verdict subcommand emits one `Report`: JSON, or CSV of its rows, on
+stdout, [PASS]/[FAIL] lines on stderr, and exit status 0 iff every row
+passed.  All randomness is driven by --seed, so identical configurations
+reproduce byte-identical reports up to the timestamp field.  Each option can
+also be set through DDIRAC_<COMMAND>_<OPTION>; such a variable that names no
+option of the command is a usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -24,11 +27,11 @@ from . import oracle
 from .calculus import (
     codifferential,
     d_c,
+    dirac_operator,
     green_defect,
     star,
 )
 from .clifford import build_table, clifford_mul, dirac_clifford, unit_form
-from .calculus import dirac_operator
 from .equations import (
     check_even_real,
     dk_residual_operator,
@@ -44,14 +47,14 @@ from .planewave import (
     amplitude_from_plus,
     basis_rank,
     commutation_checks,
-    psi,
     solution,
     solution_basis,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "DDIRAC"}
-#: Operator-route vs stencil-route agreement, relative to the input.
+#: Agreement of two routes to one quantity, and the defect of an identity
+#: that holds exactly, relative to the input.
 CROSS_TOL = 1e-13
 
 
@@ -78,12 +81,6 @@ def _worst(current: float, value: float) -> float:
     return float(np.maximum(current, value))
 
 
-def _json_only(command: str, fmt: str):
-    if fmt == "csv":
-        raise click.UsageError(f"{command} writes a JSON report; --format csv "
-                               "is not supported")
-
-
 def _reject_if_set(param: str, message: str):
     """Reject an option the user set, on the command line or through its
     DDIRAC_* variable, where it would have no effect."""
@@ -108,14 +105,6 @@ def _load_input(path: str, policy: BoundaryPolicy, check) -> Cochain:
     return omega
 
 
-def _emit_json(doc: dict, out: str | None):
-    text = _dumps(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    click.echo(text, nl=False)
-
-
 def _parse_extents(_ctx, _param, value: str) -> tuple[int, int, int, int]:
     try:
         parts = tuple(int(v) for v in value.split(","))
@@ -131,20 +120,61 @@ def _parse_policy(_ctx, _param, value: str) -> BoundaryPolicy:
         raise click.BadParameter(f"policy must be interior or zeroextend, got {value!r}")
 
 
-def common_options(fn):
-    fn = click.option("--extents", default="5,5,5,5", callback=_parse_extents,
-                      show_default=True, help="Lattice extents N0,N1,N2,N3.")(fn)
-    fn = click.option("--seed", default=0, show_default=True,
-                      help="Seed for all random inputs.")(fn)
-    fn = click.option("--policy", default="interior", callback=_parse_policy,
-                      show_default=True, help="Boundary policy: interior|zeroextend.")(fn)
-    fn = click.option("--tol-rel", default=1e-10, show_default=True,
-                      help="Relative pass tolerance for residual checks.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="Write the report to this file.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default="json", show_default=True)(fn)
-    return fn
+def _parse_mass(_ctx, _param, value: float) -> float:
+    """A mass must be finite and positive; ``click.FloatRange(min=0,
+    min_open=True)`` alone lets NaN and inf through."""
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"mass must be finite and positive, got {value}")
+    return float(value)
+
+
+def _load_scan(path: str) -> list[Momentum]:
+    """The --scan momenta.  As with --input, every problem with the file is
+    a usage error that names it."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+        if not (isinstance(entries, list) and entries and all(
+                isinstance(e, dict) and "mass" in e and isinstance(e.get("p"), list)
+                for e in entries)):
+            raise ValueError("expected a non-empty list of {mass, p} objects")
+        return [Momentum(_parse_mass(None, None, e["mass"]), tuple(e["p"]))
+                for e in entries]
+    except (ValueError, TypeError, click.BadParameter) as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="'--scan'")
+
+
+#: The options that more than one command reads.  Click names each one's
+#: environment variable DDIRAC_<COMMAND>_<KEY>, after the flag.
+OPTIONS = {
+    "extents": click.option("--extents", default="5,5,5,5", callback=_parse_extents,
+                            show_default=True, help="Lattice extents N0,N1,N2,N3."),
+    "seed": click.option("--seed", default=0, show_default=True,
+                         help="Seed for all random inputs."),
+    "policy": click.option("--policy", default="interior", callback=_parse_policy,
+                           show_default=True,
+                           help="Boundary policy: interior|zeroextend."),
+    "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
+                        help="Write the report to this file."),
+    "format": click.option("--format", type=click.Choice(["json", "csv"]),
+                           default="json", show_default=True),
+    "mass": click.option("--mass", default=1.0, callback=_parse_mass,
+                         show_default=True),
+    "input": click.option("--input", type=click.Path(exists=True, dir_okay=False),
+                          default=None,
+                          help="Cochain JSON file; a random form if omitted."),
+    "trials": click.option("--trials", default=20, show_default=True),
+}
+
+
+def options(*names):
+    """Declare the named OPTIONS on a command, in this order: each command
+    names exactly the options it reads."""
+    def declare(fn):
+        for name in reversed(names):
+            fn = OPTIONS[name](fn)
+        return fn
+    return declare
 
 
 class Report:
@@ -156,14 +186,11 @@ class Report:
         self.results: list[dict] = []
 
     def add(self, suite: str, test: str, passed: bool, **values):
-        clean = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+        # numpy scalars become Python ones; ints and bools keep their type
+        clean = {k: (v.item() if isinstance(v, np.generic) else v)
                  for k, v in values.items()}
         self.results.append({"suite": suite, "test": test, "passed": bool(passed),
                              **clean})
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.results)
 
     def to_dict(self) -> dict:
         results = sorted(self.results, key=lambda r: (r["suite"], r["test"]))
@@ -179,49 +206,56 @@ class Report:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
 
-    def render(self, fmt: str) -> str:
+    def emit(self, fmt: str, out: str | None):
+        """Write the report (JSON, or CSV of its rows) to `out`, or else to
+        stdout, and the [PASS]/[FAIL] lines to stderr; then exit 0 iff every
+        row passed."""
         doc = self.to_dict()
-        if fmt == "json":
-            return _dumps(doc)
-        buf = io.StringIO()
-        keys = sorted({k for r in doc["results"] for k in r})
-        writer = csv.DictWriter(buf, fieldnames=keys)
-        writer.writeheader()
         for r in doc["results"]:
-            writer.writerow(r)
-        return buf.getvalue()
-
-    def emit(self, fmt: str, out: str | None) -> int:
-        for r in sorted(self.results, key=lambda r: (r["suite"], r["test"])):
             status = "PASS" if r["passed"] else "FAIL"
-            click.echo(f"[{status}] {r['suite']}::{r['test']}")
-        text = self.render(fmt)
+            click.echo(f"[{status}] {r['suite']}::{r['test']}", err=True)
+        if fmt == "json":
+            text = _dumps(doc)
+        else:
+            buf = io.StringIO()
+            keys = sorted({k for r in doc["results"] for k in r})
+            writer = csv.DictWriter(buf, fieldnames=keys)
+            writer.writeheader()
+            writer.writerows(doc["results"])
+            text = buf.getvalue()
         if out:
             with open(out, "w") as fh:
                 fh.write(text)
-            click.echo(f"report written to {out}")
+            click.echo(f"report written to {out}", err=True)
         else:
             click.echo(text, nl=False)
-        return 0 if self.all_passed else 1
+        sys.exit(0 if doc["summary"]["failed"] == 0 else 1)
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
 @click.version_option(package_name="ddirac")
-def main():
+@click.pass_context
+def main(ctx):
     """Verification harness for the lattice Dirac equation models."""
+    # click ignores a variable that names no option, so a misspelt or
+    # removed one would otherwise leave the run silently unconfigured
+    name = ctx.invoked_subcommand
+    prefix = f"{ctx.auto_envvar_prefix}_{name.upper().replace('-', '_')}_"
+    known = {prefix + p.name.upper() for p in main.commands[name].params}
+    stray = sorted(k for k in os.environ if k.startswith(prefix) and k not in known)
+    if stray:
+        raise click.UsageError(f"{', '.join(stray)} names no option of {name}")
 
 
 @main.command("verify-calculus")
-@common_options
-@click.option("--trials", default=20, show_default=True)
-def verify_calculus(extents, seed, policy, tol_rel, out, fmt, trials):
+@options("extents", "seed", "policy", "out", "format", "trials")
+def verify_calculus(extents, seed, policy, out, format, trials):
     """Check the calculus identities on seeded random forms."""
     box = LatticeBox(extents, policy)
     rng = np.random.default_rng(seed)
     report = Report("verify-calculus", {
         "extents": list(extents), "seed": seed, "policy": policy.value,
-        "tol_rel": tol_rel, "trials": trials})
-    cross_tol = 1e-13
+        "trials": trials})
 
     worst_dd = worst_deldel = worst_cross = 0.0
     for _ in range(trials):
@@ -234,11 +268,11 @@ def verify_calculus(extents, seed, policy, tol_rel, out, fmt, trials):
             worst_cross = _worst(
                 worst_cross,
                 (codifferential(w) - codifferential(w, "composite")).max_abs() / scale)
-    report.add("calculus", "nilpotency_dc", worst_dd <= cross_tol, rel=worst_dd)
-    report.add("calculus", "nilpotency_codifferential", worst_deldel <= cross_tol,
+    report.add("calculus", "nilpotency_dc", worst_dd <= CROSS_TOL, rel=worst_dd)
+    report.add("calculus", "nilpotency_codifferential", worst_deldel <= CROSS_TOL,
                rel=worst_deldel)
     report.add("calculus", "codifferential_stencil_vs_composite",
-               worst_cross <= cross_tol, rel=worst_cross)
+               worst_cross <= CROSS_TOL, rel=worst_cross)
 
     star_ok = True
     for r in range(5):
@@ -257,19 +291,18 @@ def verify_calculus(extents, seed, policy, tol_rel, out, fmt, trials):
     report.add("calculus", "green_formula_vs_chain_oracle", worst_green <= 1e-12,
                max_abs=worst_green)
 
-    sys.exit(report.emit(fmt, out))
+    report.emit(format, out)
 
 
 @main.command("verify-clifford")
-@common_options
-@click.option("--trials", default=20, show_default=True)
-def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
+@options("extents", "seed", "policy", "out", "format", "trials")
+def verify_clifford(extents, seed, policy, out, format, trials):
     """Check the Clifford product table and the operator equivalence."""
     box = LatticeBox(extents, policy)
     rng = np.random.default_rng(seed)
     report = Report("verify-clifford", {
         "extents": list(extents), "seed": seed, "policy": policy.value,
-        "tol_rel": tol_rel, "trials": trials})
+        "trials": trials})
 
     gamma = oracle.gamma_model_check()
     report.add("clifford", "gamma_matrix_oracle", gamma["all_match"],
@@ -300,76 +333,57 @@ def verify_clifford(extents, seed, policy, tol_rel, out, fmt, trials):
     report.add("clifford", "first_order_operator_equivalence", worst <= 1e-12,
                rel=worst)
 
-    sys.exit(report.emit(fmt, out))
+    report.emit(format, out)
 
 
-def _residual_command(name, extents, seed, policy, tol_rel, out, fmt, mass,
-                      input_path, operator_fn, stencil_fn, random_kwargs,
-                      input_check=None):
-    _json_only(name, fmt)
-    # the residual checks pass or fail on the fixed CROSS_TOL alone
-    _reject_if_set("tol_rel", f"{name} has no --tol-rel check; its exit status "
-                              f"rests on the fixed {CROSS_TOL:g} operator/stencil "
-                              "cross-check")
+def _residual_command(name, extents, seed, policy, out, fmt, mass, input_path,
+                      operator_fn, stencil_fn, random_kwargs, input_check=None):
     if input_path:
         omega = _load_input(input_path, policy, input_check)
         seed = None
     else:
         omega = random_cochain(LatticeBox(extents, policy),
                                np.random.default_rng(seed), **random_kwargs)
+    report = Report(name, {"extents": list(omega.box.extents), "seed": seed,
+                           "policy": policy.value, "mass": mass,
+                           "input": input_path})
+    suite = name.removesuffix("-check")
     res_op = operator_fn(omega, mass)
     res_st = stencil_fn(omega, mass)
+    for test, res in (("operator_residual", res_op), ("stencil_residual", res_st)):
+        report.add(suite, test, math.isfinite(res.max_abs) and math.isfinite(res.rel),
+                   **res.to_dict())
+    # the exit status rests on this fixed tolerance, so there is no --tol-rel
     cross = (res_op.residual - res_st.residual).max_abs(1)
     cross_rel = cross / max(omega.max_abs(), 1e-300)
-    finite = all(math.isfinite(v)
-                 for v in (res_op.max_abs, res_op.rel, res_st.max_abs, res_st.rel))
-    cross_failed = not (cross_rel <= CROSS_TOL)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": name,
-        "config": {"extents": list(omega.box.extents), "seed": seed,
-                   "policy": policy.value, "mass": mass, "input": input_path,
-                   "tol_rel": tol_rel},
-        "max_abs": res_op.max_abs,
-        "rel": res_op.rel,
-        "region": list(res_op.region),
-        "finite": finite,
-        "stencil_cross_check": {"max_abs": cross, "rel": cross_rel,
-                                "passed": not cross_failed},
-    }
-    _emit_json(doc, out)
-    sys.exit(1 if cross_failed or not finite else 0)
+    report.add(suite, "stencil_cross_check", cross_rel <= CROSS_TOL,
+               max_abs=cross, rel=cross_rel)
+    report.emit(fmt, out)
 
 
 @main.command("dk-check")
-@common_options
-@click.option("--mass", default=1.0, show_default=True)
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Cochain JSON file; random form if omitted.")
-def dk_check(extents, seed, policy, tol_rel, out, fmt, mass, input_path):
+@options("extents", "seed", "policy", "out", "format", "mass", "input")
+def dk_check(extents, seed, policy, out, format, mass, input):
     """Evaluate the first-order complex equation residual on a form."""
-    _residual_command("dk-check", extents, seed, policy, tol_rel, out, fmt, mass,
-                      input_path, dk_residual_operator, dk_residual_stencil, {})
+    _residual_command("dk-check", extents, seed, policy, out, format, mass, input,
+                      dk_residual_operator, dk_residual_stencil, {})
 
 
 @main.command("hestenes-check")
-@common_options
-@click.option("--mass", default=1.0, show_default=True)
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Cochain JSON file; random even form if omitted.")
-def hestenes_check(extents, seed, policy, tol_rel, out, fmt, mass, input_path):
+@options("extents", "seed", "policy", "out", "format", "mass", "input")
+def hestenes_check(extents, seed, policy, out, format, mass, input):
     """Evaluate the real even-form equation residual."""
-    _residual_command("hestenes-check", extents, seed, policy, tol_rel, out, fmt,
-                      mass, input_path, hestenes_residual_operator,
-                      hestenes_residual_stencil,
+    _residual_command("hestenes-check", extents, seed, policy, out, format, mass,
+                      input, hestenes_residual_operator, hestenes_residual_stencil,
                       {"scalar_kind": "real", "degrees": {0, 2, 4}},
                       input_check=check_even_real)
 
 
 @main.command("planewave")
-@common_options
-@click.option("--mass", default=1.0, show_default=True)
-@click.option("--p", "spatial", default="0.3,-0.2,0.5", show_default=True,
+@options("extents", "seed", "policy", "out", "format", "mass")
+@click.option("--tol-rel", default=1e-10, show_default=True,
+              help="Relative pass tolerance for the solution residuals.")
+@click.option("--p", default="0.3,-0.2,0.5", show_default=True,
               help="Spatial momentum p1,p2,p3.")
 @click.option("--p0", default=None, type=float,
               help="Time component; derived from the mass shell if omitted.")
@@ -377,74 +391,57 @@ def hestenes_check(extents, seed, policy, tol_rel, out, fmt, mass, input_path):
               show_default=True)
 @click.option("--scan", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with a list of momenta: [{mass, p}, ...].")
-def planewave(extents, seed, policy, tol_rel, out, fmt, mass, spatial, p0, kind,
-              scan):
+def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, scan):
     """Construct plane-wave solutions and verify their residuals."""
-    _json_only("planewave", fmt)
     box = LatticeBox(extents, policy)
-    momenta = []
     if scan:
-        with open(scan) as fh:
-            for entry in json.load(fh):
-                momenta.append(Momentum(entry["mass"], tuple(entry["p"])))
+        momenta = _load_scan(scan)
     else:
         try:
-            sp = tuple(float(v) for v in spatial.split(","))
+            sp = tuple(float(v) for v in p.split(","))
             if len(sp) != 3:
                 raise ValueError("need exactly three components")
         except ValueError as exc:
             raise click.BadParameter(f"--p: {exc}")
         if p0 is None:
-            momenta.append(Momentum.on_shell_from_spatial(mass, sp))
+            momenta = [Momentum.on_shell_from_spatial(mass, sp)]
         else:
-            momenta.append(Momentum(mass, (p0,) + sp))
+            momenta = [Momentum(mass, (p0,) + sp)]
 
-    entries = []
-    failures = 0
-    for mom in momenta:
-        on_shell = mom.on_shell(tol=1e-9)
-        entry = {"momentum": {"mass": mom.m, "p": list(mom.p)},
-                 "on_shell": on_shell, "kind": kind}
-        if on_shell:
+    report = Report("planewave", {"extents": list(extents), "seed": seed,
+                                  "policy": policy.value, "tol_rel": tol_rel,
+                                  "kind": kind})
+    # zero-padded, so that sorting the rows keeps the input order
+    width = len(str(len(momenta) - 1))
+    for i, mom in enumerate(momenta):
+        label = f"p{i:0{width}d}"
+        row = {"mass": mom.m, "p": list(mom.p), "on_shell": mom.on_shell(tol=1e-9),
+                 "kind": kind}
+        if row["on_shell"]:
             basis = solution_basis(kind, mom)
-            residuals = []
-            for amp in basis:
+            for j, amp in enumerate(basis):
                 sol = solution(kind, mom, amp, box)
-                r_op = hestenes_residual_operator(sol, mom.m)
-                r_st = hestenes_residual_stencil(sol, mom.m)
-                residuals.append({"operator": r_op.rel, "stencil": r_st.rel})
-                if not (r_op.rel <= tol_rel) or not (r_st.rel <= tol_rel):
-                    failures += 1
-            entry["amplitudes"] = [list(a.as_vector()) for a in basis]
-            entry["residuals"] = residuals
-            entry["basis_rank"] = basis_rank(basis)
-            if entry["basis_rank"] != 4:
-                failures += 1
+                r_op = hestenes_residual_operator(sol, mom.m).rel
+                r_st = hestenes_residual_stencil(sol, mom.m).rel
+                report.add("planewave", f"{label}/amplitude_{j}",
+                           r_op <= tol_rel and r_st <= tol_rel, **row,
+                           amplitude=amp.as_vector().tolist(),
+                           operator=r_op, stencil=r_st)
+            rank = basis_rank(basis)
+            report.add("planewave", f"{label}/basis_rank", rank == 4, **row,
+                       rank=rank)
         else:
             # off the mass shell there is no solution; report the residual of
             # the completed amplitude as a negative control, expected nonzero
             amp = amplitude_from_plus(kind, mom, [1.0, 0.0, 0.0, 0.0]) \
                 if abs(mom.m - (mom.p[0] if kind == "minus" else -mom.p[0])) > 1e-12 \
                 else amplitude_from_minus(kind, mom, [1.0, 0.0, 0.0, 0.0])
-            sol = solution(kind, mom, amp, box)
-            r_op = hestenes_residual_operator(sol, mom.m)
-            entry["amplitudes"] = [list(amp.as_vector())]
-            entry["residuals"] = [{"operator": r_op.rel,
-                                   "note": "expected nonzero residual"}]
-            if not math.isfinite(r_op.rel):
-                failures += 1
-        entries.append(entry)
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "planewave",
-        "config": {"extents": list(extents), "seed": seed, "policy": policy.value,
-                   "tol_rel": tol_rel, "kind": kind},
-        "entries": entries,
-        "summary": {"momenta": len(momenta), "failures": failures},
-    }
-    _emit_json(doc, out)
-    sys.exit(0 if failures == 0 else 1)
+            r_op = hestenes_residual_operator(solution(kind, mom, amp, box),
+                                              mom.m).rel
+            report.add("planewave", f"{label}/off_shell_control", math.isfinite(r_op),
+                       **row, amplitude=amp.as_vector().tolist(), operator=r_op,
+                       note="expected nonzero residual")
+    report.emit(format, out)
 
 
 @main.command("table")
@@ -474,12 +471,13 @@ def table_cmd(dump, out):
 
 
 @main.command("commutation")
-@click.option("--seed", default=0, show_default=True)
+@options("seed")
 def commutation(seed):
     """Run the amplitude-half commutation checks."""
-    report = commutation_checks(seed)
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
-    sys.exit(0 if all(report.values()) else 1)
+    report = Report("commutation", {"seed": seed})
+    for test, passed in commutation_checks(seed).items():
+        report.add("commutation", test, passed)
+    report.emit("json", None)
 
 
 if __name__ == "__main__":

@@ -43,11 +43,6 @@ def _summarize(residual: Cochain, reference: Cochain, depth: int) -> EquationRes
     return EquationResidual(residual, max_abs, max_abs / scale, region)
 
 
-def even_odd_split(omega: Cochain) -> tuple[Cochain, Cochain]:
-    """Partition by degree parity; the two parts sum back to the input."""
-    return omega.even_part(), omega.odd_part()
-
-
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
 
 #: The 16 difference equations, keyed by target component: residual in slot

@@ -73,9 +73,6 @@ class LatticeBox:
     def contains(self, k) -> bool:
         return all(0 <= ki < n for ki, n in zip(k, self.extents))
 
-    def with_policy(self, policy: BoundaryPolicy) -> "LatticeBox":
-        return LatticeBox(self.extents, policy)
-
 
 def interior_slices(depth: int) -> tuple[slice, ...]:
     """Slices selecting the depth-d interior of a (16, N0..N3) data array."""

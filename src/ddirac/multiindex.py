@@ -9,7 +9,6 @@ the component-slot index of a cochain.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 NDIRS = 4
 DIRECTIONS = tuple(range(NDIRS))
@@ -33,10 +32,6 @@ SLOT_OF: dict[tuple[int, ...], int] = {mi: i for i, mi in enumerate(ALL_INDEXES)
 #: Slots grouped by degree parity.
 EVEN_SLOTS = tuple(i for i, mi in enumerate(ALL_INDEXES) if len(mi) % 2 == 0)
 ODD_SLOTS = tuple(i for i, mi in enumerate(ALL_INDEXES) if len(mi) % 2 == 1)
-
-
-def degree(mi: tuple[int, ...]) -> int:
-    return len(mi)
 
 
 def validate(mi) -> tuple[int, ...]:
@@ -74,7 +69,3 @@ def as_string(mi: tuple[int, ...]) -> str:
 
 def from_string(s: str) -> tuple[int, ...]:
     return validate(int(c) for c in s)
-
-
-def slot_count(deg: int) -> int:
-    return comb(NDIRS, deg)

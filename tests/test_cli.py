@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,50 +18,92 @@ def runner():
     return CliRunner()
 
 
-def _json_tail(output):
-    """The report is the JSON object after the [PASS]/[FAIL] lines."""
-    start = output.index("{")
-    return json.loads(output[start:])
+def _report(result):
+    """stdout carries exactly the report; the [PASS]/[FAIL] lines go to
+    stderr."""
+    return json.loads(result.stdout)
+
+
+def _row(doc, test):
+    (entry,) = [r for r in doc["results"] if r["test"] == test]
+    return entry
+
+
+def _amplitude_rows(doc):
+    return [r for r in doc["results"] if "/amplitude_" in r["test"]]
+
+
+#: One small, passing invocation of each verdict subcommand.
+VERDICT_ARGS = {
+    "verify-calculus": ["--extents", "3,3,3,3", "--trials", "2", "--seed", "9"],
+    "verify-clifford": ["--extents", "2,2,2,2", "--trials", "1", "--seed", "9"],
+    "dk-check": ["--extents", "3,3,3,3", "--seed", "9"],
+    "hestenes-check": ["--extents", "3,3,3,3", "--seed", "9"],
+    "planewave": ["--extents", "3,3,3,3"],
+    "commutation": ["--seed", "9"],
+}
 
 
 def test_verify_calculus_passes(runner):
     result = runner.invoke(main, ["verify-calculus", "--extents", "3,3,3,3",
                                   "--trials", "4"])
     assert result.exit_code == 0, result.output
-    doc = _json_tail(result.output)
+    doc = _report(result)
     assert doc["summary"]["failed"] == 0
-    assert "[PASS] calculus::nilpotency_dc" in result.output
+    assert "[PASS] calculus::nilpotency_dc" in result.stderr
 
 
 def test_verify_clifford_passes(runner):
     result = runner.invoke(main, ["verify-clifford", "--extents", "3,3,3,3",
                                   "--trials", "3"])
     assert result.exit_code == 0, result.output
-    doc = _json_tail(result.output)
+    doc = _report(result)
     suites = {r["test"] for r in doc["results"]}
     assert "gamma_matrix_oracle" in suites
     assert "first_order_operator_equivalence" in suites
 
 
-def test_reports_are_deterministic_up_to_timestamp(runner):
-    args = ["verify-calculus", "--extents", "3,3,3,3", "--trials", "2", "--seed", "9"]
+@pytest.mark.parametrize("command", VERDICT_ARGS)
+def test_reports_are_deterministic_up_to_timestamp(runner, command):
+    args = [command] + VERDICT_ARGS[command]
     docs = []
     for _ in range(2):
         result = runner.invoke(main, args)
         assert result.exit_code == 0
-        doc = _json_tail(result.output)
+        doc = _report(result)
         doc.pop("timestamp")
         docs.append(doc)
     assert docs[0] == docs[1]
 
 
+def test_every_verdict_emits_one_schema(runner):
+    docs = {}
+    for command, args in VERDICT_ARGS.items():
+        result = runner.invoke(main, [command] + args)
+        assert result.exit_code == 0, result.output
+        docs[command] = doc = _report(result)
+        assert doc["schema_version"] == 3 and doc["command"] == command
+        assert doc["results"] and doc["summary"]["failed"] == 0
+        assert all({"suite", "test", "passed"} <= set(r) for r in doc["results"])
+        for r in doc["results"]:
+            assert f"[PASS] {r['suite']}::{r['test']}" in result.stderr
+    assert {frozenset(doc) for doc in docs.values()} == {frozenset(
+        {"schema_version", "command", "config", "results", "summary", "timestamp"})}
+    # numpy scalars become Python ones, but ints and bools keep their type
+    gamma = _row(docs["verify-clifford"], "gamma_matrix_oracle")
+    assert type(gamma["entries"]) is int and gamma["entries"] == 256
+    rank = _row(docs["planewave"], "p0/basis_rank")
+    assert type(rank["rank"]) is int and rank["rank"] == 4
+    assert rank["on_shell"] is True
+
+
 def test_dk_check_random_form(runner):
     result = runner.invoke(main, ["dk-check", "--extents", "4,4,4,4", "--mass", "1.5"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
-    assert doc["stencil_cross_check"]["passed"]
+    doc = _report(result)
+    assert _row(doc, "stencil_cross_check")["passed"]
     assert doc["config"]["mass"] == 1.5
-    assert doc["region"] == [3, 3, 3, 3]
+    assert _row(doc, "operator_residual")["region"] == [3, 3, 3, 3]
 
 
 def test_hestenes_check_reads_input_file(runner, tmp_path, rng):
@@ -68,34 +113,36 @@ def test_hestenes_check_reads_input_file(runner, tmp_path, rng):
     w.save(path)
     result = runner.invoke(main, ["hestenes-check", "--input", str(path)])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
+    doc = _report(result)
     assert doc["config"]["input"] == str(path)
     assert doc["config"]["extents"] == [3, 3, 3, 3]  # the file's box
     assert doc["config"]["seed"] is None
-    assert doc["region"] == [2, 2, 2, 2]
-    assert doc["stencil_cross_check"]["rel"] <= 1e-13
+    assert _row(doc, "operator_residual")["region"] == [2, 2, 2, 2]
+    assert _row(doc, "stencil_cross_check")["rel"] <= 1e-13
 
 
 def test_planewave_on_shell(runner):
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
                                   "--p", "0.3,-0.2,0.5", "--mass", "1.0"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
-    (entry,) = doc["entries"]
-    assert entry["on_shell"]
-    assert entry["basis_rank"] == 4
-    assert all(r["operator"] <= 1e-10 for r in entry["residuals"])
+    doc = _report(result)
+    assert _row(doc, "p0/basis_rank")["on_shell"]
+    assert _row(doc, "p0/basis_rank")["rank"] == 4
+    amplitudes = _amplitude_rows(doc)
+    assert len(amplitudes) == 4
+    assert all(r["operator"] <= 1e-10 for r in amplitudes)
 
 
 def test_planewave_off_shell_is_negative_control(runner):
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
                                   "--p", "0.3,0.0,0.0", "--p0", "2.0"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
-    (entry,) = doc["entries"]
+    doc = _report(result)
+    (entry,) = doc["results"]
+    assert entry["test"] == "p0/off_shell_control"
     assert not entry["on_shell"]
-    assert entry["residuals"][0]["operator"] > 1e-3
-    assert entry["residuals"][0]["note"] == "expected nonzero residual"
+    assert entry["operator"] > 1e-3
+    assert entry["note"] == "expected nonzero residual"
 
 
 def _strict_json(text):
@@ -113,10 +160,11 @@ def test_planewave_overflow_fails_with_strict_json(runner):
                                   "--p", "100,0,0"])
     assert result.exit_code != 0
     doc = _strict_json(result.stdout)
-    (entry,) = doc["entries"]
-    assert entry["on_shell"]
-    assert doc["summary"]["failures"] == 4
-    assert all(r["operator"] is None for r in entry["residuals"])
+    assert _row(doc, "p0/basis_rank")["on_shell"]
+    assert doc["summary"]["failed"] == 4
+    amplitudes = _amplitude_rows(doc)
+    assert len(amplitudes) == 4
+    assert all(r["operator"] is None for r in amplitudes)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -131,7 +179,8 @@ def test_dk_check_overflow_fails_with_strict_json(runner, tmp_path):
     result = runner.invoke(main, ["dk-check", "--input", str(path)])
     assert result.exit_code == 1
     doc = _strict_json(result.stdout)
-    assert not doc["finite"]
+    assert not (_row(doc, "operator_residual")["passed"]
+                and _row(doc, "stencil_residual")["passed"])
 
 
 def test_planewave_scan_file(runner, tmp_path):
@@ -142,9 +191,9 @@ def test_planewave_scan_file(runner, tmp_path):
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3",
                                   "--scan", str(path)])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
-    assert doc["summary"]["momenta"] == 2
-    assert doc["summary"]["failures"] == 0
+    doc = _report(result)
+    assert {r["test"].split("/")[0] for r in doc["results"]} == {"p0", "p1"}
+    assert doc["summary"]["failed"] == 0
 
 
 def test_malformed_extents_is_usage_error(runner):
@@ -164,9 +213,11 @@ def test_report_written_to_file(runner, tmp_path):
     result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
                                   "--trials", "1", "--out", str(out)])
     assert result.exit_code == 0, result.output
+    assert result.stdout == ""
+    assert f"report written to {out}" in result.stderr
     doc = json.loads(out.read_text())
     assert doc["command"] == "verify-clifford"
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
 
 
 def test_csv_format(runner):
@@ -189,25 +240,21 @@ def test_table_dump(runner):
 def test_commutation_command(runner):
     result = runner.invoke(main, ["commutation", "--seed", "3"])
     assert result.exit_code == 0
-    doc = json.loads(result.output)
-    assert all(doc.values())
+    doc = _report(result)
+    assert len(doc["results"]) == 8
+    assert all(r["passed"] for r in doc["results"])
 
 
 def test_env_var_configures_option(runner):
     result = runner.invoke(main, ["verify-clifford", "--trials", "1"],
                            env={"DDIRAC_VERIFY_CLIFFORD_EXTENTS": "2,2,2,2"})
     assert result.exit_code == 0, result.output
-    doc = _json_tail(result.output)
+    doc = _report(result)
     assert doc["config"]["extents"] == [2, 2, 2, 2]
 
 
 def _nan_form(form):
     return form.like(np.full_like(form.data, np.nan))
-
-
-def _result(doc, test):
-    (entry,) = [r for r in doc["results"] if r["test"] == test]
-    return entry
 
 
 def test_verify_calculus_nan_fails(runner, monkeypatch):
@@ -216,7 +263,7 @@ def test_verify_calculus_nan_fails(runner, monkeypatch):
     result = runner.invoke(main, ["verify-calculus", "--extents", "2,2,2,2",
                                   "--trials", "1"])
     assert result.exit_code == 1, result.output
-    entry = _result(_json_tail(result.output), "nilpotency_dc")
+    entry = _row(_report(result), "nilpotency_dc")
     assert not entry["passed"] and entry["rel"] is None
 
 
@@ -225,7 +272,7 @@ def test_verify_clifford_nan_fails(runner, monkeypatch):
     result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
                                   "--trials", "2"])
     assert result.exit_code == 1, result.output
-    entry = _result(_json_tail(result.output), "first_order_operator_equivalence")
+    entry = _row(_report(result), "first_order_operator_equivalence")
     assert not entry["passed"] and entry["rel"] is None
 
 
@@ -239,19 +286,25 @@ def test_planewave_fails_on_stencil_residual(runner, monkeypatch):
     monkeypatch.setattr(ddirac.cli, "hestenes_residual_stencil", off_by_one)
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])
     assert result.exit_code == 1, result.output
-    doc = json.loads(result.output)
-    assert doc["summary"]["failures"] == 4
-    assert all(r["stencil"] == 1.0 for r in doc["entries"][0]["residuals"])
+    doc = _report(result)
+    assert doc["summary"]["failed"] == 4
+    amplitudes = _amplitude_rows(doc)
+    assert len(amplitudes) == 4
+    assert all(r["stencil"] == 1.0 for r in amplitudes)
 
 
 @pytest.mark.parametrize("command", ["dk-check", "hestenes-check", "planewave"])
-def test_csv_rejected_where_report_is_json_only(runner, command):
+def test_csv_report_has_header_and_rows(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3", "--format", "csv"])
-    assert result.exit_code == 2
-    assert "--format csv" in result.output
+    assert result.exit_code == 0, result.output
+    table = list(csv.DictReader(io.StringIO(result.stdout)))
+    # planewave: four amplitudes and the basis rank of one on-shell momentum
+    assert len(table) == (5 if command == "planewave" else 3)
+    assert all(r["suite"] and r["test"] and r["passed"] == "True" for r in table)
 
 
-@pytest.mark.parametrize("command", ["dk-check", "hestenes-check"])
+@pytest.mark.parametrize("command", ["dk-check", "hestenes-check",
+                                     "verify-calculus", "verify-clifford"])
 def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3",
                                   "--tol-rel", "1e-3"])
@@ -316,3 +369,67 @@ def test_seed_and_extents_rejected_with_input(runner, tmp_path, rng, command, op
     # without --input both options are accepted
     result = runner.invoke(main, [command, f"--{option}", value], env=env)
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command", ["dk-check", "hestenes-check", "planewave"])
+@pytest.mark.parametrize("mass", ["0", "-1", "nan", "inf"])
+def test_mass_not_finite_and_positive_is_usage_error(runner, command, mass):
+    result = runner.invoke(main, [command, "--extents", "3,3,3,3", "--mass", mass])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "--mass" in result.output
+
+
+BAD_SCANS = {
+    "no_p": '[{"mass": 1.0}]',
+    "no_mass": '[{"p": [1.5, 0.5, 0.0, 0.0]}]',
+    "not_json": "not json",
+    "two_components": '[{"mass": 1.0, "p": [1.0, 0.0]}]',
+    "negative_mass": '[{"mass": -1, "p": [1.5, 0.5, 0.0, 0.0]}]',
+    "not_a_list": '{"mass": 1.0, "p": [1.5, 0.5, 0.0, 0.0]}',
+    "entry_not_object": "[[1.0, 1.5, 0.5, 0.0, 0.0]]",
+    "empty": "[]",
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCANS)
+def test_bad_scan_file_is_usage_error_naming_it(runner, tmp_path, case):
+    path = tmp_path / "scan.json"
+    path.write_text(BAD_SCANS[case])
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3",
+                                  "--scan", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert str(path) in result.output and "--scan" in result.output
+
+
+def _even_form_file(tmp_path, rng):
+    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind="real",
+                       degrees={0, 2, 4})
+    path = tmp_path / "even.json"
+    w.save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag, old, args", [
+    ("verify-clifford", "format", "FMT", ["--extents", "2,2,2,2", "--trials", "1"]),
+    ("hestenes-check", "input", "INPUT_PATH", []),
+    ("planewave", "p", "SPATIAL", ["--extents", "2,2,2,2"]),
+])
+def test_env_var_names_follow_the_flags(runner, tmp_path, rng, command, flag, old,
+                                        args):
+    """DDIRAC_<COMMAND>_<FLAG> does what the flag does; the name click took
+    from the old Python parameter names no option and is a usage error."""
+    value = {"format": "csv", "input": _even_form_file(tmp_path, rng),
+             "p": "0.0,0.4,0.0"}[flag]
+    prefix = f"DDIRAC_{command.upper().replace('-', '_')}_"
+    by_flag = runner.invoke(main, [command, *args, f"--{flag}", value])
+    by_env = runner.invoke(main, [command, *args], env={prefix + flag.upper(): value})
+    assert by_flag.exit_code == by_env.exit_code == 0, by_env.output
+    without_timestamp = re.compile(r'"timestamp": "[^"]*"')
+    assert without_timestamp.sub("", by_env.stdout) == \
+        without_timestamp.sub("", by_flag.stdout)
+    assert by_env.stdout != runner.invoke(main, [command, *args]).stdout
+    result = runner.invoke(main, [command, *args], env={prefix + old: value})
+    assert result.exit_code == 2, result.output
+    assert prefix + old in result.output

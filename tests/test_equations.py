@@ -10,7 +10,6 @@ from ddirac.equations import (
     HESTENES_STENCIL,
     dk_residual_operator,
     dk_residual_stencil,
-    even_odd_split,
     hestenes_residual_operator,
     hestenes_residual_stencil,
 )
@@ -65,7 +64,7 @@ def test_dk_rejects_nonpositive_mass(rng, box4):
 
 def test_even_odd_split_partitions(rng, box4):
     w = random_cochain(box4, rng)
-    ev, od = even_odd_split(w)
+    ev, od = w.even_part(), w.odd_part()
     assert (ev + od - w).max_abs() == 0.0
     assert np.abs(ev.data[list(ODD_SLOTS)]).max() == 0.0
     assert np.abs(od.data[list(EVEN_SLOTS)]).max() == 0.0

@@ -32,7 +32,6 @@ def test_box_interior_and_membership():
     assert box.contains((2, 2, 2, 2))
     assert not box.contains((3, 0, 0, 0))
     assert not box.contains((-1, 0, 0, 0))
-    assert box.with_policy(BoundaryPolicy.ZERO_EXTEND).policy is BoundaryPolicy.ZERO_EXTEND
 
 
 def test_interior_slices_select_forward_region(rng):
