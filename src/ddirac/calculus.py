@@ -37,34 +37,59 @@ def inner_sign(mi) -> int:
     return levi_civita(mi) * star_sign(mi)
 
 
-#: Per direction mu: the lattice slices of the points k whose forward
-#: neighbour k + e_mu is inside the box, and of those neighbours.
-_HEAD = tuple(tuple(slice(0, -1) if a == mu else slice(None) for a in range(4))
-              for mu in range(4))
-_TAIL = tuple(tuple(slice(1, None) if a == mu else slice(None) for a in range(4))
-              for mu in range(4))
+#: Per direction mu: the far face k_mu = N_mu - 1 of a slot.
+_FACE = tuple((slice(None),) * mu + (-1,) for mu in range(4))
+
+
+def accumulate(acc: np.ndarray, data: np.ndarray, terms) -> None:
+    """Add one output slot's signed forward differences into `acc`.
+
+    `acc` is a C-contiguous array of the lattice extents, `data` a
+    C-contiguous (16, N0, N1, N2, N3) array that `acc` does not overlap, and
+    each term (sign, mu, source multi-index) adds sign * (source at k + e_mu
+    - source at k), reading the shifted value as zero beyond the box.
+
+    On the flattened slot the shifted read is one contiguous run,
+    ``acc[:n - stride] += src[stride:]``, with stride the flat step of k_mu.
+    For mu >= 1 that run also pairs each far-face point (k_mu = N_mu - 1)
+    with a wrapped-around neighbour, so the face is saved and set to zero
+    before the add, which then can neither overflow nor warn there, and put
+    back after it.  Each point sees the same adds in the same order as with
+    per-axis slices.
+    """
+    flat = np.reshape(acc, -1, copy=False)
+    sources = np.reshape(data, (len(data), -1), copy=False)
+    n = flat.size
+    shape, strides = acc.shape, acc.strides
+    for sign, mu, src in terms:
+        arr = sources[SLOT_OF[src]]
+        if shape[mu] > 1:
+            stride = strides[mu] // acc.itemsize
+            if mu:
+                face = acc[_FACE[mu]]
+                saved = face.copy()
+                face.fill(0)
+            if sign > 0:
+                flat[:n - stride] += arr[stride:]
+            else:
+                flat[:n - stride] -= arr[stride:]
+            if mu:
+                np.copyto(face, saved)
+        if sign > 0:
+            flat -= arr
+        else:
+            flat += arr
 
 
 def apply_stencil(data: np.ndarray, stencil) -> np.ndarray:
     """Sum of signed single-slot forward differences, one term list per
     output slot: {target multi-index: [(sign, direction mu, source
-    multi-index), ...]}, with each sign +1 or -1.
-
-    Each term adds sign * (source at k + e_mu - source at k) into the target
-    slot, reading the shifted value as zero beyond the box.  The shifted
-    source slice is added straight into the target, so no term allocates.
-    """
-    out = np.zeros_like(data)
+    multi-index), ...]}, with each sign +1 or -1.  See `accumulate`; the one
+    full-size array allocated is the result."""
+    data = np.ascontiguousarray(data)
+    out = np.zeros(data.shape, data.dtype)
     for target, terms in stencil.items():
-        acc = out[SLOT_OF[target]]
-        for sign, mu, src in terms:
-            arr = data[SLOT_OF[src]]
-            if sign > 0:
-                acc[_HEAD[mu]] += arr[_TAIL[mu]]
-                acc -= arr
-            else:
-                acc[_HEAD[mu]] -= arr[_TAIL[mu]]
-                acc += arr
+        accumulate(out[SLOT_OF[target]], data, terms)
     return out
 
 
@@ -144,10 +169,15 @@ def codifferential(form: Cochain, method: str = "stencil") -> Cochain:
 
 
 def dirac_operator(form: Cochain) -> Cochain:
-    """First-order operator d_c + codifferential."""
-    out = d_c(form)
-    out.data += codifferential(form).data
-    return out
+    """First-order operator d_c + codifferential.  Each codifferential slot
+    is summed in one slot of scratch and added into the d_c result."""
+    out = apply_stencil(form.data, DC_STENCIL)
+    scratch = np.empty_like(out[0])
+    for target, terms in CODIFF_STENCIL.items():
+        scratch.fill(0)
+        accumulate(scratch, form.data, terms)
+        out[SLOT_OF[target]] += scratch
+    return form.like(out)
 
 
 def inner_product(phi: Cochain, omega: Cochain) -> complex:

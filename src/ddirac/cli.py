@@ -221,7 +221,8 @@ class Report:
             keys = sorted({k for r in doc["results"] for k in r})
             writer = csv.DictWriter(buf, fieldnames=keys)
             writer.writeheader()
-            writer.writerows(doc["results"])
+            # empty cells where the JSON report has null
+            writer.writerows(_finite_or_null(doc["results"]))
             text = buf.getvalue()
         if out:
             with open(out, "w") as fh:
@@ -395,6 +396,9 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
     """Construct plane-wave solutions and verify their residuals."""
     box = LatticeBox(extents, policy)
     if scan:
+        for param in ("mass", "p", "p0"):
+            _reject_if_set(param, f"--{param} has no effect with --scan: the file "
+                                  "fixes every momentum")
         momenta = _load_scan(scan)
     else:
         try:
@@ -438,7 +442,9 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
                 else amplitude_from_minus(kind, mom, [1.0, 0.0, 0.0, 0.0])
             r_op = hestenes_residual_operator(solution(kind, mom, amp, box),
                                               mom.m).rel
-            report.add("planewave", f"{label}/off_shell_control", math.isfinite(r_op),
+            # written so that NaN fails: a control that cannot discriminate
+            # shows nothing
+            report.add("planewave", f"{label}/off_shell_control", r_op > tol_rel,
                        **row, amplitude=amp.as_vector().tolist(), operator=r_op,
                        note="expected nonzero residual")
     report.emit(format, out)

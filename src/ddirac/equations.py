@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import apply_stencil, dirac_operator
-from .clifford import build_table, mul_basis_right
+from .calculus import CODIFF_STENCIL, DC_STENCIL, accumulate, apply_stencil, dirac_operator
+from .clifford import _shuffle_map, build_table
 from .lattice import BoundaryPolicy, Cochain
-from .multiindex import ODD_SLOTS, SLOT_OF
+from .multiindex import ALL_INDEXES, EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
 
@@ -72,12 +72,21 @@ def _check_mass(m: float):
         raise ValueError(f"mass must be positive, got {m}")
 
 
+def _subtract_mass(out: np.ndarray, data: np.ndarray, m: float):
+    """out -= m * data, one slot at a time, so m * data is never a full-size
+    array."""
+    scratch = np.empty_like(data[0])
+    for s in range(NSLOTS):
+        np.multiply(m, data[s], out=scratch)
+        out[s] -= scratch
+
+
 def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
     """Residual of i*(d_c + codifferential)Omega = m*Omega."""
     _check_mass(m)
     out = dirac_operator(omega).data.astype(np.complex128, copy=False)
     out *= 1j
-    out -= m * omega.data
+    _subtract_mass(out, omega.data, m)
     return _summarize(omega.like(out, scalar_kind="complex"), omega, depth=1)
 
 
@@ -85,9 +94,8 @@ def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     """Same residual evaluated from the 16 literal difference equations."""
     _check_mass(m)
     out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
-    # scaled in place: no second full-size array beside the m*omega term
     out *= 1j
-    out -= m * omega.data
+    _subtract_mass(out, omega.data, m)
     return _summarize(omega.like(out, scalar_kind="complex"), omega, depth=1)
 
 
@@ -133,15 +141,55 @@ def check_even_real(omega: Cochain):
         raise ValueError("Hestenes input must have even-degree components only")
 
 
+def _hestenes_operator_lines() -> tuple:
+    """Per output slot s of -(D Omega_ev) e12 - m Omega_ev e0: the d_c and
+    codifferential terms of the slot that right-multiplication by e12 sends
+    to s, whether that map negates it, and the e0 map's source slot and
+    negation.  Terms that read odd slots are dropped: on an even form they
+    read only zeros, and adding a zero leaves a sum that started at +0.0
+    unchanged, so the result is bit-identical."""
+    src12, neg12 = _shuffle_map((1, 2), "right")
+    src0, neg0 = _shuffle_map((0,), "right")
+
+    def even_terms(stencil, mi):
+        return tuple(t for t in stencil.get(mi, ()) if SLOT_OF[t[2]] in EVEN_SLOTS)
+
+    return tuple(
+        (s, even_terms(DC_STENCIL, ALL_INDEXES[src12[s]]),
+         even_terms(CODIFF_STENCIL, ALL_INDEXES[src12[s]]),
+         s in neg12, int(src0[s]), s in neg0)
+        for s in range(NSLOTS))
+
+
+_HESTENES_OPERATOR_LINES = _hestenes_operator_lines()
+
+
 def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
-    """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0."""
+    """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0.
+
+    Written slot by slot into the one output array, with the arithmetic of
+    the composed form: each slot gets the d_c sum, plus the codifferential
+    sum, then the e12 sign, plus the e0-signed m * omega; the whole array is
+    negated once, since -(a + b) rounds exactly as -a - b."""
     _check_mass(m)
     check_even_real(omega_ev)
-    out = mul_basis_right(dirac_operator(omega_ev), (1, 2)).data
-    mass = mul_basis_right(omega_ev, (0,)).data
-    mass *= m
-    out += mass
-    # -(a + b) rounds exactly as -a - b
+    data = omega_ev.data
+    out = np.zeros_like(data)
+    scratch = np.empty_like(data[0])
+    for s, dc_terms, codiff_terms, neg12, src0, neg0 in _HESTENES_OPERATOR_LINES:
+        acc = out[s]
+        accumulate(acc, data, dc_terms)
+        if codiff_terms:
+            scratch.fill(0)
+            accumulate(scratch, data, codiff_terms)
+            acc += scratch
+        if neg12:
+            np.negative(acc, out=acc)
+        # -(x * m) rounds exactly as (-x) * m
+        np.multiply(data[src0], m, out=scratch)
+        if neg0:
+            np.negative(scratch, out=scratch)
+        acc += scratch
     np.negative(out, out=out)
     return _summarize(omega_ev.like(out), omega_ev, depth=1)
 

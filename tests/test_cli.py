@@ -196,6 +196,55 @@ def test_planewave_scan_file(runner, tmp_path):
     assert doc["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("option, value", [("mass", "5"), ("p", "9,9,9"), ("p0", "3")])
+def test_momentum_options_rejected_with_scan(runner, tmp_path, option, value):
+    """The --scan file fixes every momentum, so an option that would set one
+    is a usage error, on the command line or through its variable."""
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps([{"mass": 1.0, "p": [np.sqrt(1.25), 0.5, 0.0, 0.0]}]))
+    args = ["planewave", "--extents", "3,3,3,3", "--scan", str(path)]
+    result = runner.invoke(main, [*args, f"--{option}", value])
+    assert result.exit_code == 2, result.output
+    assert f"--{option} has no effect with --scan" in result.output
+    result = runner.invoke(main, args, env={f"DDIRAC_PLANEWAVE_{option.upper()}": value})
+    assert result.exit_code == 2, result.output
+    # --kind still applies with --scan
+    result = runner.invoke(main, [*args, "--kind", "plus"])
+    assert result.exit_code == 0, result.output
+    assert {r["kind"] for r in _report(result)["results"]} == {"plus"}
+
+
+@pytest.mark.parametrize("rel", [0.0, float("nan")])
+def test_off_shell_control_fails_when_it_does_not_discriminate(runner, monkeypatch,
+                                                               rel):
+    operator = ddirac.cli.hestenes_residual_operator
+
+    def no_residual(omega, m):
+        res = operator(omega, m)
+        return EquationResidual(res.residual, res.max_abs, rel, res.region)
+
+    monkeypatch.setattr(ddirac.cli, "hestenes_residual_operator", no_residual)
+    result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
+                                  "--p", "0.3,0,0", "--p0", "2.0"])
+    assert result.exit_code == 1, result.output
+    assert not _row(_report(result), "p0/off_shell_control")["passed"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_csv_writes_non_finite_values_as_empty_cells(runner):
+    """As the JSON report writes them as null."""
+    result = runner.invoke(main, ["planewave", "--extents", "200,2,2,2",
+                                  "--p", "100,0,0", "--format", "csv"])
+    assert result.exit_code == 1
+    rows = list(csv.reader(io.StringIO(result.stdout)))
+    assert not {"nan", "inf", "-inf"} & {cell.lower() for row in rows for cell in row}
+    amplitudes = [r for r in csv.DictReader(io.StringIO(result.stdout))
+                  if "/amplitude_" in r["test"]]
+    assert len(amplitudes) == 4
+    assert all(r["operator"] == "" for r in amplitudes)
+
+
 def test_malformed_extents_is_usage_error(runner):
     result = runner.invoke(main, ["verify-calculus", "--extents", "0,4,4,4"])
     assert result.exit_code == 2

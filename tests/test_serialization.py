@@ -201,6 +201,16 @@ def test_finite_forms_reload_bit_identically(tmp_path_factory, w):
     assert back.data.tobytes() == expected.tobytes()
 
 
+@given(_finite_forms())
+@settings(max_examples=60, deadline=None)
+def test_save_writes_the_bytes_of_the_list_document(tmp_path_factory, w):
+    """save serializes the float64 arrays without making Python floats; the
+    file is byte-identical to the JSON of `to_json_dict`."""
+    path = tmp_path_factory.mktemp("forms") / "form.json"
+    w.save(path)
+    assert path.read_bytes() == orjson.dumps(w.to_json_dict())
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_token_in_file_rejected(tmp_path, token):
     path = tmp_path / "bad.json"
