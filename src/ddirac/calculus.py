@@ -55,10 +55,13 @@ def accumulate(acc: np.ndarray, data: np.ndarray, terms) -> None:
     with a wrapped-around neighbour, so the face is saved and set to zero
     before the add, which then can neither overflow nor warn there, and put
     back after it.  Each point sees the same adds in the same order as with
-    per-axis slices.
+    per-axis slices.  A non-contiguous `acc` raises ValueError, since its
+    flattened copy would take the adds instead.
     """
-    flat = np.reshape(acc, -1, copy=False)
-    sources = np.reshape(data, (len(data), -1), copy=False)
+    if not acc.flags.c_contiguous:
+        raise ValueError("accumulate needs a C-contiguous acc")
+    flat = acc.reshape(-1)  # a view, since acc is C-contiguous
+    sources = data.reshape(len(data), -1)
     n = flat.size
     shape, strides = acc.shape, acc.strides
     for sign, mu, src in terms:
@@ -74,7 +77,7 @@ def accumulate(acc: np.ndarray, data: np.ndarray, terms) -> None:
             else:
                 flat[:n - stride] -= arr[stride:]
             if mu:
-                np.copyto(face, saved)
+                face[...] = saved
         if sign > 0:
             flat -= arr
         else:
