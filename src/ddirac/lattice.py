@@ -186,11 +186,8 @@ class Cochain:
         view = self.data[interior_slices(depth)]
         if not view.size:
             return 0.0
-        if self.scalar_kind == "real":
-            # no |view| temporary; np.maximum keeps a NaN, and abs() turns the
-            # -0.0 an all-zero view can give into 0.0
-            return float(abs(np.maximum(view.max(), -view.min())))
-        return float(np.abs(view).max())
+        # one slot-sized |.| temporary at a time; np.max keeps a NaN
+        return float(np.max([np.abs(slot).max() for slot in view]))
 
     # -- serialization ---------------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Brute-force reference implementations used only by the test suite.
+"""Brute-force reference implementations.
+
+The test suite uses all of them; `green_boundary_term` also backs the Green
+row of ``ddirac verify-calculus`` and the benchmark's `dk-random` workload.
 
 Everything here is assembled from first principles -- dense matrices built by
 exhaustive chain enumeration, a gamma-matrix model of the Clifford table, and

@@ -16,7 +16,7 @@ mechanically from the Clifford table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,10 +25,16 @@ from .lattice import Cochain, LatticeBox
 from .multiindex import EVEN_SLOTS, NSLOTS, SLOT_OF
 
 ONSHELL_TOL = 1e-12
+#: The shell test of `solution_basis`; `ddirac planewave` uses it to decide
+#: which momenta get a solution basis and which an off-shell control.
+SOLUTION_SHELL_TOL = 1e-9
 
 #: Coefficient bases of the two halves of a constant even amplitude.
 PLUS_BASIS = ((), (1, 2), (1, 3), (2, 3))         # commutes with e0
 MINUS_BASIS = ((0, 1), (0, 2), (0, 3), (0, 1, 2, 3))  # anticommutes with e0
+#: Where each half's coefficients sit among the 8 even-slot coefficients.
+_PLUS_AT = [EVEN_SLOTS.index(SLOT_OF[mi]) for mi in PLUS_BASIS]
+_MINUS_AT = [EVEN_SLOTS.index(SLOT_OF[mi]) for mi in MINUS_BASIS]
 
 X_SLOT = SLOT_OF[()]
 E12_SLOT = SLOT_OF[(1, 2)]
@@ -69,9 +75,9 @@ class Momentum:
 
 
 def _kind_sign(kind: str) -> int:
-    if kind in ("+", "plus"):
+    if kind == "plus":
         return +1
-    if kind in ("-", "minus"):
+    if kind == "minus":
         return -1
     raise ValueError(f"kind must be 'plus' or 'minus', got {kind!r}")
 
@@ -132,7 +138,8 @@ def psi_slow(kind: str, momentum: Momentum, box: LatticeBox) -> Cochain:
 
 @dataclass(frozen=True)
 class EvenAmplitude:
-    """The 8 real coefficients of a constant even form."""
+    """The 8 real coefficients of a constant even form, in even-slot order
+    (x, e01, e02, e03, e12, e13, e23, e0123)."""
 
     alpha0: float
     alpha01: float
@@ -143,35 +150,26 @@ class EvenAmplitude:
     alpha23: float
     alpha4: float
 
-    _FIELD_BY_MI = {
-        (): "alpha0", (0, 1): "alpha01", (0, 2): "alpha02", (0, 3): "alpha03",
-        (1, 2): "alpha12", (1, 3): "alpha13", (2, 3): "alpha23",
-        (0, 1, 2, 3): "alpha4",
-    }
-
-    def coefficient(self, mi) -> float:
-        return getattr(self, self._FIELD_BY_MI[tuple(mi)])
-
     def as_vector(self) -> np.ndarray:
-        """All 8 coefficients in canonical slot order (x, e01..e23, e0123)."""
-        order = ((), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2, 3))
-        return np.array([self.coefficient(mi) for mi in order])
+        return np.array([getattr(self, f.name) for f in fields(self)])
 
     def plus_part(self) -> np.ndarray:
-        return np.array([self.coefficient(mi) for mi in PLUS_BASIS])
+        return self.as_vector()[_PLUS_AT]
 
     def minus_part(self) -> np.ndarray:
-        return np.array([self.coefficient(mi) for mi in MINUS_BASIS])
+        return self.as_vector()[_MINUS_AT]
 
     @classmethod
     def from_parts(cls, plus, minus) -> "EvenAmplitude":
-        coeffs = dict(zip(PLUS_BASIS, plus)) | dict(zip(MINUS_BASIS, minus))
-        return cls(**{cls._FIELD_BY_MI[mi]: float(c) for mi, c in coeffs.items()})
+        coeffs = np.empty(len(EVEN_SLOTS))
+        coeffs[_PLUS_AT] = plus
+        coeffs[_MINUS_AT] = minus
+        return cls(*coeffs.tolist())
 
     def as_cochain(self, box: LatticeBox) -> Cochain:
         data = np.zeros((NSLOTS,) + box.extents)
-        for mi, name in self._FIELD_BY_MI.items():
-            data[SLOT_OF[mi]] = getattr(self, name)
+        for slot, c in zip(EVEN_SLOTS, self.as_vector()):
+            data[slot] = c
         return Cochain(box, data, "real")
 
 
@@ -198,38 +196,32 @@ def _coupling_matrices(p_spatial) -> tuple[np.ndarray, np.ndarray]:
 _DENOM_TOL = 1e-12
 
 
-def amplitude_from_plus(kind: str, momentum: Momentum, plus) -> EvenAmplitude:
-    """Complete an amplitude from its commuting half.
-
-    For the minus wave the anticommuting half is B A_plus / (m - p0); for the
-    plus wave it is -B A_plus / (m + p0).
-    """
-    sgn = _kind_sign(kind)
-    p0 = momentum.p[0]
-    denom = momentum.m - p0 if sgn < 0 else momentum.m + p0
+def _complete(kind: str, momentum: Momentum, half, from_plus: bool) -> EvenAmplitude:
+    """The amplitude whose commuting half (`from_plus`) or anticommuting half
+    is `half`; the other half is s B half / (m - s p0), with s = -kind sign
+    from the commuting half and +kind sign from the anticommuting one."""
+    s = -_kind_sign(kind) if from_plus else _kind_sign(kind)
+    denom = momentum.m - s * momentum.p[0]
     if abs(denom) <= _DENOM_TOL:
         raise ValueError(f"coupling denominator {denom} is singular for this branch")
-    m_mfp, _ = _coupling_matrices(momentum.p[1:])
-    plus = np.asarray(plus, dtype=float)
-    minus = (1.0 if sgn < 0 else -1.0) * (m_mfp @ plus) / denom
-    return EvenAmplitude.from_parts(plus, minus)
+    coupling = _coupling_matrices(momentum.p[1:])[0 if from_plus else 1]
+    half = np.asarray(half, dtype=float)
+    other = s * (coupling @ half) / denom
+    return EvenAmplitude.from_parts(*((half, other) if from_plus else (other, half)))
+
+
+def amplitude_from_plus(kind: str, momentum: Momentum, plus) -> EvenAmplitude:
+    """Complete an amplitude from its commuting half: the anticommuting half
+    is B A_plus / (m - p0) for the minus wave, -B A_plus / (m + p0) for the
+    plus wave."""
+    return _complete(kind, momentum, plus, from_plus=True)
 
 
 def amplitude_from_minus(kind: str, momentum: Momentum, minus) -> EvenAmplitude:
-    """Complete an amplitude from its anticommuting half.
-
-    For the minus wave the commuting half is -B A_minus / (m + p0); for the
-    plus wave it is B A_minus / (m - p0).
-    """
-    sgn = _kind_sign(kind)
-    p0 = momentum.p[0]
-    denom = momentum.m + p0 if sgn < 0 else momentum.m - p0
-    if abs(denom) <= _DENOM_TOL:
-        raise ValueError(f"coupling denominator {denom} is singular for this branch")
-    _, m_pfm = _coupling_matrices(momentum.p[1:])
-    minus = np.asarray(minus, dtype=float)
-    plus = (-1.0 if sgn < 0 else 1.0) * (m_pfm @ minus) / denom
-    return EvenAmplitude.from_parts(plus, minus)
+    """Complete an amplitude from its anticommuting half: the commuting half
+    is -B A_minus / (m + p0) for the minus wave, B A_minus / (m - p0) for the
+    plus wave."""
+    return _complete(kind, momentum, minus, from_plus=False)
 
 
 def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
@@ -255,27 +247,16 @@ def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
 
 
 def solution_basis(kind: str, momentum: Momentum) -> list[EvenAmplitude]:
-    """Four amplitudes spanning the solution space for an on-shell momentum.
-
-    The free half is chosen so the coupling uses the better-conditioned
-    denominator (the larger of |m - p0| and |m + p0|); the four canonical
-    unit vectors of that half then generate rank-4 coefficient vectors.
-    """
-    if not momentum.on_shell(tol=1e-9):
+    """Four amplitudes spanning the solution space for an on-shell momentum:
+    the four canonical unit vectors of the free half, completed."""
+    if not momentum.on_shell(tol=SOLUTION_SHELL_TOL):
         raise ValueError(f"momentum is off shell (defect {momentum.mass_shell_defect()})")
-    sgn = _kind_sign(kind)
+    # complete from the half whose denominator m - s p0 is the larger, so the
+    # coupling is the better conditioned one; a tie goes to m + p0 (s = -1)
     p0 = momentum.p[0]
-    use_plus_denom = abs(momentum.m + p0) >= abs(momentum.m - p0)
-    # denominator m+p0 couples from the free A_plus for the plus wave and
-    # from the free A_minus for the minus wave; m-p0 is the mirror case.
-    free_is_plus = (sgn > 0) == use_plus_denom
-    basis = []
-    for unit in np.eye(4):
-        if free_is_plus:
-            basis.append(amplitude_from_plus(kind, momentum, unit))
-        else:
-            basis.append(amplitude_from_minus(kind, momentum, unit))
-    return basis
+    s = -1 if abs(momentum.m + p0) >= abs(momentum.m - p0) else 1
+    from_plus = s == -_kind_sign(kind)
+    return [_complete(kind, momentum, unit, from_plus) for unit in np.eye(4)]
 
 
 def basis_rank(amplitudes, tol: float = 1e-9) -> int:
@@ -314,8 +295,8 @@ def commutation_checks(rng=None) -> dict:
         expect = 1.0 if name == "plus" else -1.0
         left = mul_basis_left((0,), form)
         right = expect * mul_basis_right(form, (0,))
-        report[f"e0_{name}_commutation"] = bool(
-            np.allclose(left.data, right.data, atol=1e-15))
+        # signed slot shuffles, so exact
+        report[f"e0_{name}_commutation"] = np.array_equal(left.data, right.data)
         for i in (1, 2, 3):
             swapped = mul_basis_left((0, i), form)
             target = MINUS_BASIS if name == "plus" else PLUS_BASIS

@@ -145,6 +145,20 @@ def test_planewave_off_shell_is_negative_control(runner):
     assert entry["note"] == "expected nonzero residual"
 
 
+@pytest.mark.parametrize("p0, kind", [("1", "minus"), ("-1", "plus")])
+def test_off_shell_control_falls_back_to_minus_half(runner, p0, kind):
+    """Where m -/+ p0 = 0 the plus half cannot be completed, so the control
+    completes from the minus half's first unit vector (e01 = 1)."""
+    result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4", "--mass", "1",
+                                  "--p", "0.3,0,0", "--p0", p0, "--kind", kind])
+    assert result.exit_code == 0, result.output
+    entry = _row(_report(result), "p0/off_shell_control")
+    assert entry["passed"] and not entry["on_shell"]
+    # coefficient order: x, e01, e02, e03, e12, e13, e23, e0123
+    assert entry["amplitude"][1] == 1.0
+    assert entry["amplitude"][2:4] == [0.0, 0.0] and entry["amplitude"][7] == 0.0
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -363,6 +377,23 @@ def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3"], env=env)
     assert result.exit_code == 2
     assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["verify-calculus", "verify-clifford"])
+def test_policy_rejected_where_it_has_no_effect(runner, command):
+    """Both commands measure at fixed depths, so the boundary policy changes
+    nothing in their reports and setting it is a usage error."""
+    args = [command, "--extents", "2,2,2,2", "--trials", "1"]
+    result = runner.invoke(main, [*args, "--policy", "zeroextend"])
+    assert result.exit_code == 2
+    assert "--policy" in result.output
+    variable = f"DDIRAC_{command.upper().replace('-', '_')}_POLICY"
+    result = runner.invoke(main, args, env={variable: "zeroextend"})
+    assert result.exit_code == 2
+    assert variable in result.output
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "policy" not in _report(result)["config"]
 
 
 def _bad_input(tmp_path, rng, case):

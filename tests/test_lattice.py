@@ -132,6 +132,28 @@ def test_real_max_abs_of_zeros_is_positive_zero():
     assert str(w.max_abs()) == "0.0"
 
 
+@given(st.tuples(*[st.integers(1, 3)] * 4), st.integers(0, 2),
+       st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 2**20),
+                          st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                          st.booleans()), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_max_abs_equals_whole_array_abs_max(extents, depth, kind, seed, zeros, planted):
+    """The per-slot maxima give the float of np.abs(view).max(), bit for bit:
+    a NaN wins, an infinity counts and -0.0 reads as 0.0."""
+    w = random_cochain(LatticeBox(extents), np.random.default_rng(seed), scalar_kind=kind)
+    if zeros:
+        w.data[...] = -0.0
+    flat = w.data.reshape(-1)
+    for pos, value, imag in planted:
+        part = flat.imag if imag and kind == "complex" else flat.real
+        part[pos % flat.size] = value
+    view = w.data[interior_slices(depth)]
+    want = float(np.abs(view).max()) if view.size else 0.0
+    got = w.max_abs(depth)
+    assert (np.isnan(got) and np.isnan(want)) or got.hex() == want.hex()
+
+
 @given(st.integers(0, 1000), st.sampled_from(ALL_INDEXES))
 @settings(max_examples=25, deadline=None)
 def test_component_view_is_live(seed, mi):

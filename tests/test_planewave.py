@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddirac import planewave
 from ddirac.calculus import delta_mu
 from ddirac.clifford import clifford_mul, mul_basis_right, unit_form
 from ddirac.equations import hestenes_residual_operator
@@ -115,6 +116,24 @@ def test_amplitude_vector_round_trip(rng):
 def test_amplitude_halves_commutation_structure():
     report = commutation_checks(7)
     assert report and all(report.values())
+
+
+def test_commutation_checks_compare_exactly(monkeypatch):
+    """The e0 products are signed slot shuffles, so an error of 1e-12 on
+    each nonzero coefficient, well inside allclose's default rtol, must fail
+    the e0 checks."""
+    exact = planewave.mul_basis_right
+
+    def perturbed(form, mi):
+        out = exact(form, mi)
+        out.data[out.data != 0] += 1e-12
+        return out
+
+    monkeypatch.setattr(planewave, "mul_basis_right", perturbed)
+    report = commutation_checks(7)
+    assert not report["e0_plus_commutation"]
+    assert not report["e0_minus_commutation"]
+    assert all(passed for test, passed in report.items() if "swaps" in test)
 
 
 def test_completion_round_trip_on_shell(rng):
