@@ -404,12 +404,11 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
             sp = tuple(float(v) for v in p.split(","))
             if len(sp) != 3:
                 raise ValueError("need exactly three components")
+            momenta = [Momentum.on_shell_from_spatial(mass, sp) if p0 is None
+                       else Momentum(mass, (p0,) + sp)]
         except ValueError as exc:
-            raise click.BadParameter(f"--p: {exc}")
-        if p0 is None:
-            momenta = [Momentum.on_shell_from_spatial(mass, sp)]
-        else:
-            momenta = [Momentum(mass, (p0,) + sp)]
+            raise click.BadParameter(
+                str(exc), param_hint="'--p'" if p0 is None else "'--p' / '--p0'")
 
     report = Report("planewave", {"extents": list(extents), "seed": seed,
                                   "policy": policy.value, "tol_rel": tol_rel,

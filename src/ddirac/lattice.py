@@ -7,8 +7,9 @@ Components a form does not use are simply zero, so homogeneous and
 inhomogeneous forms share one representation.
 
 A real-kind cochain is checked for imaginary parts only where complex data
-enters it (JSON load, ``from_components``, a caller's array); arithmetic on
-real-kind cochains stays float64 and is never re-scanned.
+enters it (``from_components``, a caller's array); arithmetic on real-kind
+cochains stays float64 and is never re-scanned.  Cochain files hold a real-kind
+cochain's floats only, so loading one never builds complex data.
 
 Out-of-box reads are governed by the box's boundary policy:
 
@@ -41,7 +42,9 @@ from .multiindex import (
 #: Maximum imaginary part tolerated in a real-kind cochain.
 REAL_IMAG_TOL = 1e-14
 
-SCHEMA_VERSION = 1
+#: Version 2 writes a real-kind slot as N floats, where version 1 wrote N
+#: (re, 0.0) pairs; version-1 files are rejected.
+SCHEMA_VERSION = 2
 
 
 class BoundaryPolicy(Enum):
@@ -79,6 +82,12 @@ def interior_slices(depth: int) -> tuple[slice, ...]:
     return (slice(None),) + tuple(slice(0, -depth) if depth else slice(None) for _ in range(4))
 
 
+def _dtype_of(scalar_kind) -> type:
+    if scalar_kind not in ("real", "complex"):
+        raise ValueError(f"scalar_kind must be 'real' or 'complex', got {scalar_kind!r}")
+    return np.float64 if scalar_kind == "real" else np.complex128
+
+
 class Cochain:
     """Graded component field over a lattice box (immutable by convention)."""
 
@@ -86,10 +95,8 @@ class Cochain:
 
     def __init__(self, box: LatticeBox, data=None, scalar_kind: str = "complex",
                  tilde: bool = False):
-        if scalar_kind not in ("real", "complex"):
-            raise ValueError(f"scalar_kind must be 'real' or 'complex', got {scalar_kind!r}")
+        dtype = _dtype_of(scalar_kind)
         shape = (NSLOTS,) + box.extents
-        dtype = np.float64 if scalar_kind == "real" else np.complex128
         if data is None:
             data = np.zeros(shape, dtype=dtype)
         else:
@@ -198,12 +205,11 @@ class Cochain:
             arr = self.data[slot]
             if not np.any(arr):
                 continue
-            flat = np.empty(arr.size * 2)
-            flat[0::2] = arr.real.ravel(order="C")
-            flat[1::2] = arr.imag.ravel(order="C")
-            if not np.isfinite(flat).all():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"component {as_string(mi)!r}: non-finite values")
-            components.setdefault(str(len(mi)), {})[as_string(mi)] = flat
+            # a view of the slot: complex128 is itself interleaved (re, im)
+            components.setdefault(str(len(mi)), {})[as_string(mi)] = \
+                arr.reshape(-1).view(np.float64)
         return {
             "schema_version": SCHEMA_VERSION,
             "extents": list(self.box.extents),
@@ -213,8 +219,10 @@ class Cochain:
         }
 
     def to_json_dict(self) -> dict:
-        """The file format: each nonzero slot as interleaved (re, im) floats in
-        row-major order.  Non-finite data raises ValueError, as on load."""
+        """The file format: each nonzero slot as a flat list of floats in
+        row-major order, N of them for the real kind and N interleaved
+        (re, im) pairs for the complex kind.  Non-finite data raises
+        ValueError, as on load."""
         doc = self._json_doc()
         doc["components"] = {degree: {mi: flat.tolist() for mi, flat in by_mi.items()}
                              for degree, by_mi in doc["components"].items()}
@@ -229,26 +237,28 @@ class Cochain:
                 raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
                                  f"got {doc.get('schema_version')!r}")
             box = LatticeBox(tuple(doc["extents"]), policy)
-            data = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
+            scalar_kind = doc.get("scalar_kind", "complex")
+            data = np.zeros((NSLOTS,) + box.extents, dtype=_dtype_of(scalar_kind))
+            # the floats of one slot: complex128 is itself interleaved (re, im),
+            # and re + 1j*im would turn a -0.0 into 0.0
+            slots = data.reshape(NSLOTS, -1).view(np.float64)
             for by_mi in doc.get("components", {}).values():
                 for mi_string, flat in by_mi.items():
                     mi = from_string(mi_string)
-                    flat = np.ascontiguousarray(flat, dtype=float)
-                    if flat.shape != (2 * box.npoints,):
+                    flat = np.asarray(flat, dtype=np.float64)
+                    if flat.shape != slots.shape[1:]:
                         raise ValueError(
                             f"component {mi_string!r}: expected a flat list of "
-                            f"{2 * box.npoints} floats, got shape {flat.shape}")
+                            f"{slots.shape[1]} floats, got shape {flat.shape}")
                     if not np.isfinite(flat).all():
                         raise ValueError(f"component {mi_string!r}: non-finite values")
-                    # the interleaved (re, im) pairs are complex128's own
-                    # layout; re + 1j*im would turn a -0.0 into 0.0
-                    data[SLOT_OF[mi]] = flat.view(np.complex128).reshape(box.extents)
+                    slots[SLOT_OF[mi]] = flat
             tilde = doc.get("tilde", False)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed cochain document: {exc!r}") from exc
         if not isinstance(tilde, bool):
             raise ValueError(f"tilde must be true or false, got {tilde!r}")
-        return cls(box, data, doc.get("scalar_kind", "complex"), tilde)
+        return cls(box, data, scalar_kind, tilde)
 
     def save(self, path):
         """Write compact JSON.  Non-finite data raises before `path` is opened,

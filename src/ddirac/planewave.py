@@ -56,15 +56,18 @@ class Momentum:
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         if len(self.p) != 4:
             raise ValueError("momentum needs four components")
+        if not np.isfinite(self.p).all():
+            raise ValueError(f"momentum components must be finite, got {list(self.p)}")
 
     def mass_shell_defect(self) -> float:
         p0, p1, p2, p3 = self.p
         return p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 - self.m * self.m
 
     def on_shell(self, tol: float = ONSHELL_TOL) -> bool:
-        """|p.p - m^2| <= tol * max(1, p0^2, m^2): the defect's rounding
-        error grows with p0^2 and m^2, so the test is relative to them."""
-        scale = max(1.0, self.p[0] * self.p[0], self.m * self.m)
+        """|p.p - m^2| <= tol * max(p0^2, m^2): the test is relative to the
+        momentum's own size, as the defect's rounding error is, so a small
+        momentum is not on shell merely by being small."""
+        scale = max(self.p[0] * self.p[0], self.m * self.m)
         return abs(self.mass_shell_defect()) <= tol * scale
 
     @classmethod

@@ -271,6 +271,32 @@ def test_malformed_momentum_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--p0", "nan"], "'--p0'"),
+    (["--p0", "inf"], "'--p0'"),
+    (["--p", "nan,0,0"], "'--p'"),
+    (["--p", "0,inf,0", "--p0", "2"], "'--p'"),
+    (["--p", "1e200,0,0"], "'--p'"),  # p0 from the shell overflows
+])
+def test_non_finite_momentum_is_usage_error(runner, args, option):
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3", *args])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert option in result.output
+    assert "momentum components must be finite" in result.output
+
+
+def test_near_massless_rest_momentum_gets_a_passing_off_shell_control(runner, tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text('[{"mass": 1e-6, "p": [0, 0, 0, 0]}]')
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3", "--scan",
+                                  str(path)])
+    assert result.exit_code == 0, result.output
+    (entry,) = _report(result)["results"]
+    assert entry["test"] == "p0/off_shell_control"
+    assert entry["passed"] and not entry["on_shell"]
+
+
 def test_report_written_to_file(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
@@ -396,6 +422,18 @@ def test_policy_rejected_where_it_has_no_effect(runner, command):
     assert "policy" not in _report(result)["config"]
 
 
+#: What each `_bad_input` case does wrong, as the usage error says it.
+BAD_INPUT_REASONS = {
+    "float_count": "expected a flat list of 16 floats, got shape (14,)",
+    "schema_version": "schema_version must be 2, got 1",
+    "schema_version_3": "schema_version must be 2, got 3",
+    "no_extents": "malformed cochain document: KeyError('extents')",
+    "non_finite": "unexpected character",
+    "complex_kind": "Hestenes input must be a real-kind cochain",
+    "odd_degree": "Hestenes input must have even-degree components only",
+}
+
+
 def _bad_input(tmp_path, rng, case):
     """Write a cochain file that `case` makes invalid; return its path."""
     kind = "complex" if case == "complex_kind" else "real"
@@ -405,13 +443,19 @@ def _bad_input(tmp_path, rng, case):
     if case == "float_count":
         del flat[-2:]
     elif case == "schema_version":
-        doc["schema_version"] = 2
+        # a version-1 file: a real-kind slot was N (re, 0.0) pairs
+        doc["schema_version"] = 1
+        for by_mi in doc["components"].values():
+            for mi, values in by_mi.items():
+                by_mi[mi] = [v for x in values for v in (x, 0.0)]
+    elif case == "schema_version_3":
+        doc["schema_version"] = 3
     elif case == "no_extents":
         del doc["extents"]
     elif case == "non_finite":
         flat[0] = float("nan")  # json.dumps writes a bare NaN token
     elif case == "odd_degree":
-        doc["components"]["1"] = {"0": [1.0, 0.0] * 16}
+        doc["components"]["1"] = {"0": [1.0] * 16}
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
     return path
@@ -420,7 +464,8 @@ def _bad_input(tmp_path, rng, case):
 @pytest.mark.parametrize("command, case", [
     (command, case)
     for command in ("dk-check", "hestenes-check")
-    for case in ("float_count", "schema_version", "no_extents", "non_finite")
+    for case in ("float_count", "schema_version", "schema_version_3", "no_extents",
+                 "non_finite")
 ] + [("hestenes-check", "complex_kind"), ("hestenes-check", "odd_degree")])
 def test_bad_input_file_is_usage_error_naming_it(runner, tmp_path, rng, command,
                                                  case):
@@ -429,6 +474,7 @@ def test_bad_input_file_is_usage_error_naming_it(runner, tmp_path, rng, command,
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert str(path) in result.output and "--input" in result.output
+    assert BAD_INPUT_REASONS[case] in result.output
 
 
 @pytest.mark.parametrize("command", ["dk-check", "hestenes-check"])
@@ -469,6 +515,7 @@ BAD_SCANS = {
     "not_a_list": '{"mass": 1.0, "p": [1.5, 0.5, 0.0, 0.0]}',
     "entry_not_object": "[[1.0, 1.5, 0.5, 0.0, 0.0]]",
     "empty": "[]",
+    "non_finite_p": '[{"mass": 1.0, "p": [NaN, 0.5, 0.0, 0.0]}]',
 }
 
 

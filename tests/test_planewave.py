@@ -190,6 +190,25 @@ def test_solution_basis_rejects_off_shell():
         solution_basis("minus", Momentum(1.0, (2.0, 0.0, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("p", [(np.nan, 0.5, 0, 0), (1.5, 0.5, np.inf, 0),
+                               (1.5, 0.5, 0, -np.inf)])
+def test_momentum_rejects_non_finite_component(p):
+    with pytest.raises(ValueError, match="momentum components must be finite"):
+        Momentum(1.0, p)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_near_massless_rest_momentum_is_off_shell(kind):
+    """p.p - m^2 = -1e-12 is the whole of m^2: the shell test is relative
+    to the momentum's own size, so this momentum has no solution basis."""
+    rest = Momentum(1e-6, (0.0, 0.0, 0.0, 0.0))
+    assert not rest.on_shell(tol=planewave.SOLUTION_SHELL_TOL)
+    with pytest.raises(ValueError, match="off shell"):
+        solution_basis(kind, rest)
+    # at its own scale the on-shell rest momentum still passes
+    assert Momentum(1e-6, (1e-6, 0.0, 0.0, 0.0)).on_shell()
+
+
 def test_rest_frame_forces_vanishing_half():
     rest = Momentum(1.0, (1.0, 0.0, 0.0, 0.0))
     for amp in solution_basis("minus", rest):

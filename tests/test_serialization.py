@@ -51,6 +51,14 @@ def test_interleaved_layout_is_row_major():
     assert doc["components"]["0"][""] == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_real_layout_is_row_major():
+    box = LatticeBox((1, 1, 2, 2))
+    data = np.zeros((16,) + box.extents)
+    data[0, 0, 0] = [[1.0, 2.0], [3.0, 4.0]]
+    doc = Cochain(box, data, "real").to_json_dict()
+    assert doc["components"]["0"][""] == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_load_respects_policy(rng, tmp_path):
     w = random_cochain(LatticeBox((2, 2, 2, 2)), rng)
     path = tmp_path / "p.json"
@@ -69,6 +77,15 @@ def test_bad_component_length_rejected(rng, tmp_path):
         Cochain.load(path)
 
 
+def test_real_component_of_interleaved_length_rejected(rng):
+    """A real-kind slot is N floats: N (re, im) pairs are the wrong length."""
+    doc = random_cochain(LatticeBox((1, 1, 1, 2)), rng, scalar_kind="real",
+                         degrees={0}).to_json_dict()
+    doc["components"]["0"][""] = [v for x in doc["components"]["0"][""] for v in (x, 0.0)]
+    with pytest.raises(ValueError, match="expected a flat list of 2 floats, got shape"):
+        Cochain.from_json_dict(doc)
+
+
 def test_nested_component_list_rejected(rng):
     doc = random_cochain(LatticeBox((1, 1, 1, 2)), rng, degrees={0}).to_json_dict()
     flat = doc["components"]["0"][""]
@@ -77,18 +94,26 @@ def test_nested_component_list_rejected(rng):
         Cochain.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("text", [
-    '[1, 2]',
-    '{"schema_version": 1}',
-    '{"schema_version": 1, "extents": 4}',
-    '{"schema_version": 1, "extents": [1, 1, 1, 1], "components": [1]}',
-    '{"schema_version": 1, "extents": [1, 1, 1, 1], "components": {"0": {"": {}}}}',
-    '{"schema_version": 1, "extents": [1, 1, 1, 1], "tilde": "no"}',
-])
+MALFORMED = {
+    '[1, 2]': "malformed .*'list' object has no attribute 'get'",
+    '{"schema_version": 2}': "malformed .*KeyError\\('extents'\\)",
+    '{"schema_version": 2, "extents": 4}': "malformed .*'int' object is not iterable",
+    '{"schema_version": 2, "extents": [1, 1, 1, 1], "components": [1]}':
+        "malformed .*'list' object has no attribute 'values'",
+    '{"schema_version": 2, "extents": [1, 1, 1, 1], "components": {"0": {"": {}}}}':
+        "malformed .*'dict'",
+    '{"schema_version": 2, "extents": [1, 1, 1, 1], "tilde": "no"}':
+        "tilde must be true or false, got 'no'",
+    '{"schema_version": 2, "extents": [1, 1, 1, 1], "scalar_kind": "quaternion"}':
+        "scalar_kind must be 'real' or 'complex', got 'quaternion'",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_document_rejected(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MALFORMED[text]):
         Cochain.load(path)
 
 
@@ -99,7 +124,7 @@ def test_bad_multiindex_key_rejected(rng):
         Cochain.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("version", [None, 0, 2, "1"])
+@pytest.mark.parametrize("version", [None, 0, 1, 3, "2"])
 def test_other_schema_version_rejected(rng, version):
     doc = random_cochain(LatticeBox((1, 1, 1, 1)), rng).to_json_dict()
     if version is None:
@@ -132,12 +157,13 @@ def test_save_writes_one_json_document(rng, tmp_path, kind):
 
 
 def test_real_kind_file_loads_as_float64(rng, tmp_path):
-    """The on-disk format keeps its zero imaginary parts for the real kind."""
+    """A real-kind component is the slot's N floats in row-major order, with
+    no imaginary parts."""
     w = random_cochain(LatticeBox((2, 2, 1, 2)), rng, scalar_kind="real", degrees={2})
     doc = w.to_json_dict()
     assert doc["scalar_kind"] == "real"
     flat = doc["components"]["2"]["01"]
-    assert flat[1::2] == [0.0] * (len(flat) // 2)
+    assert flat == w.component((0, 1)).ravel(order="C").tolist()
     path = tmp_path / "real.json"
     path.write_text(json.dumps(doc))
     back = Cochain.load(path)
@@ -202,14 +228,27 @@ def test_finite_forms_reload_bit_identically(tmp_path_factory, w):
     assert back.data.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+#: Each token orjson refuses, with the reason it gives.
+NON_FINITE_TOKENS = {
+    "NaN": "unexpected character",
+    "Infinity": "unexpected character",
+    "-Infinity": "no digit after minus sign",
+    "1e400": "number is infinity",
+}
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
 def test_non_finite_token_in_file_rejected(tmp_path, token):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema_version": 1, "extents": [1, 1, 1, 1], '
-                    '"scalar_kind": "complex", "tilde": false, '
-                    f'"components": {{"0": {{"": [{token}, 0.0]}}}}}}')
-    with pytest.raises(ValueError):
+    text = ('{"schema_version": 2, "extents": [1, 1, 1, 1], '
+            '"scalar_kind": "complex", "tilde": false, '
+            f'"components": {{"0": {{"": [{token}, 0.0]}}}}}}')
+    path.write_text(text)
+    with pytest.raises(ValueError, match=NON_FINITE_TOKENS[token]):
         Cochain.load(path)
+    # the same document with a finite number loads
+    path.write_text(text.replace(token, "1.5"))
+    assert Cochain.load(path).data[0, 0, 0, 0, 0] == 1.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
@@ -263,3 +302,13 @@ def test_failed_save_leaves_an_empty_file(rng, tmp_path, monkeypatch):
 
 def test_save_to_a_device_writes_without_truncating(rng):
     random_cochain(LatticeBox((2, 2, 1, 2)), rng).save(os.devnull)
+
+
+def test_load_of_a_real_form_allocates_one_full_size_array(rng, peak_over_input):
+    """A real-kind document enters as float64: no complex buffer, and no
+    full-size temporary beside the result."""
+    w = random_cochain(LatticeBox((8, 8, 8, 8)), rng, scalar_kind="real",
+                       degrees={0, 2, 4})
+    doc = orjson.loads(orjson.dumps(w.to_json_dict()))
+    assert Cochain.from_json_dict(doc).data.tobytes() == w.data.tobytes()
+    assert peak_over_input(lambda _: Cochain.from_json_dict(doc), w) < 1.5

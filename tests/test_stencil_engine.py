@@ -2,7 +2,6 @@
 replaced, bit for bit, warning for warning; and the one-array rule of the
 routes built on it."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,22 +186,6 @@ def test_engine_warns_as_slice_reference(name, kind, big):
         assert all(category is RuntimeWarning for category, _ in got)
 
 
-def _peak_over_input(route, omega):
-    route(omega)  # first call outside the trace: nothing lazy is counted
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        route(omega)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return peak / omega.data.nbytes
-
-
 @pytest.mark.parametrize("route, kind", [
     (dirac_operator, "complex"),
     (lambda w: dk_residual_operator(w, 1.3), "complex"),
@@ -211,7 +194,7 @@ def _peak_over_input(route, omega):
     (lambda w: hestenes_residual_stencil(w, 0.8), "even"),
 ], ids=["dirac_operator", "dk_operator", "dk_stencil", "hestenes_operator",
         "hestenes_stencil"])
-def test_route_allocates_one_full_size_array(rng, route, kind):
+def test_route_allocates_one_full_size_array(rng, peak_over_input, route, kind):
     """At 8^4 the result is the one full-size array: scratch, the residual
     summary's temporaries and face copies stay under 0.6 of a cochain."""
     box = LatticeBox((8, 8, 8, 8))
@@ -219,4 +202,4 @@ def test_route_allocates_one_full_size_array(rng, route, kind):
         omega = random_cochain(box, rng, scalar_kind="real", degrees={0, 2, 4})
     else:
         omega = random_cochain(box, rng)
-    assert _peak_over_input(route, omega) < 1.6
+    assert peak_over_input(route, omega) < 1.6
