@@ -31,7 +31,7 @@ from .calculus import (
     green_defect,
     star,
 )
-from .clifford import build_table, clifford_mul, dirac_clifford, unit_form
+from .clifford import clifford_mul, dirac_clifford, unit_form
 from .equations import (
     check_even_real,
     dk_residual_operator,
@@ -39,10 +39,8 @@ from .equations import (
     hestenes_residual_operator,
     hestenes_residual_stencil,
 )
-from .lattice import BoundaryPolicy, Cochain, LatticeBox, random_cochain
-from .multiindex import ALL_INDEXES, as_string
+from .lattice import Cochain, LatticeBox, random_cochain
 from .planewave import (
-    SOLUTION_SHELL_TOL,
     Momentum,
     amplitude_from_minus,
     amplitude_from_plus,
@@ -90,7 +88,15 @@ def _reject_if_set(param: str, message: str):
         raise click.UsageError(message)
 
 
-def _load_input(path: str, policy: BoundaryPolicy, check) -> Cochain:
+def _check_interior(extents):
+    """Every residual is judged on the depth-1 interior, which an extent
+    below 2 leaves empty: a check there would pass on no points."""
+    if min(extents) < 2:
+        raise ValueError(f"every extent must be at least 2, got {list(extents)}: "
+                         "the depth-1 interior is empty otherwise")
+
+
+def _load_input(path: str, check) -> Cochain:
     """The --input form.  The file fixes the form and its box, so --seed and
     --extents are rejected; every problem with the file is a usage error
     that names it."""
@@ -98,7 +104,8 @@ def _load_input(path: str, policy: BoundaryPolicy, check) -> Cochain:
         _reject_if_set(param, f"--{param} has no effect with --input: the form "
                               "and its box come from the file")
     try:
-        omega = Cochain.load(path, policy)
+        omega = Cochain.load(path)
+        _check_interior(omega.box.extents)
         if check is not None:
             check(omega)
     except ValueError as exc:
@@ -108,17 +115,11 @@ def _load_input(path: str, policy: BoundaryPolicy, check) -> Cochain:
 
 def _parse_extents(_ctx, _param, value: str) -> tuple[int, int, int, int]:
     try:
-        parts = tuple(int(v) for v in value.split(","))
-        return LatticeBox(parts).extents
+        extents = LatticeBox(tuple(int(v) for v in value.split(","))).extents
+        _check_interior(extents)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-
-
-def _parse_policy(_ctx, _param, value: str) -> BoundaryPolicy:
-    try:
-        return BoundaryPolicy(value)
-    except ValueError:
-        raise click.BadParameter(f"policy must be interior or zeroextend, got {value!r}")
+    return extents
 
 
 def _parse_mass(_ctx, _param, value: float) -> float:
@@ -152,9 +153,6 @@ OPTIONS = {
                             show_default=True, help="Lattice extents N0,N1,N2,N3."),
     "seed": click.option("--seed", default=0, show_default=True,
                          help="Seed for all random inputs."),
-    "policy": click.option("--policy", default="interior", callback=_parse_policy,
-                           show_default=True,
-                           help="Boundary policy: interior|zeroextend."),
     "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
                         help="Write the report to this file."),
     "format": click.option("--format", type=click.Choice(["json", "csv"]),
@@ -282,7 +280,7 @@ def verify_calculus(extents, seed, out, format, trials):
         star_ok = star_ok and diff == 0.0
     report.add("calculus", "star_involution_law", star_ok)
 
-    gbox = LatticeBox((2, 2, 2, 2), BoundaryPolicy.ZERO_EXTEND)
+    gbox = LatticeBox((2, 2, 2, 2))
     worst_green = 0.0
     for _ in range(max(trials // 4, 1)):
         phi = random_cochain(gbox, rng)
@@ -336,17 +334,16 @@ def verify_clifford(extents, seed, out, format, trials):
     report.emit(format, out)
 
 
-def _residual_command(name, extents, seed, policy, out, fmt, mass, input_path,
+def _residual_command(name, extents, seed, out, fmt, mass, input_path,
                       operator_fn, stencil_fn, random_kwargs, input_check=None):
     if input_path:
-        omega = _load_input(input_path, policy, input_check)
+        omega = _load_input(input_path, input_check)
         seed = None
     else:
-        omega = random_cochain(LatticeBox(extents, policy),
-                               np.random.default_rng(seed), **random_kwargs)
+        omega = random_cochain(LatticeBox(extents), np.random.default_rng(seed),
+                               **random_kwargs)
     report = Report(name, {"extents": list(omega.box.extents), "seed": seed,
-                           "policy": policy.value, "mass": mass,
-                           "input": input_path})
+                           "mass": mass, "input": input_path})
     suite = name.removesuffix("-check")
     res_op = operator_fn(omega, mass)
     res_st = stencil_fn(omega, mass)
@@ -362,25 +359,37 @@ def _residual_command(name, extents, seed, policy, out, fmt, mass, input_path,
 
 
 @main.command("dk-check")
-@options("extents", "seed", "policy", "out", "format", "mass", "input")
-def dk_check(extents, seed, policy, out, format, mass, input):
+@options("extents", "seed", "out", "format", "mass", "input")
+def dk_check(extents, seed, out, format, mass, input):
     """Evaluate the first-order complex equation residual on a form."""
-    _residual_command("dk-check", extents, seed, policy, out, format, mass, input,
+    _residual_command("dk-check", extents, seed, out, format, mass, input,
                       dk_residual_operator, dk_residual_stencil, {})
 
 
 @main.command("hestenes-check")
-@options("extents", "seed", "policy", "out", "format", "mass", "input")
-def hestenes_check(extents, seed, policy, out, format, mass, input):
+@options("extents", "seed", "out", "format", "mass", "input")
+def hestenes_check(extents, seed, out, format, mass, input):
     """Evaluate the real even-form equation residual."""
-    _residual_command("hestenes-check", extents, seed, policy, out, format, mass,
-                      input, hestenes_residual_operator, hestenes_residual_stencil,
+    _residual_command("hestenes-check", extents, seed, out, format, mass, input,
+                      hestenes_residual_operator, hestenes_residual_stencil,
                       {"scalar_kind": "real", "degrees": {0, 2, 4}},
                       input_check=check_even_real)
 
 
+def _control_amplitude(kind: str, mom: Momentum):
+    """The off-shell control's amplitude: completed from the plus half's
+    first unit vector, or from the minus half's where m -/+ p0 = 0 makes the
+    plus half singular; None where both halves are singular."""
+    for complete in (amplitude_from_plus, amplitude_from_minus):
+        try:
+            return complete(kind, mom, [1.0, 0.0, 0.0, 0.0])
+        except ValueError:
+            continue
+    return None
+
+
 @main.command("planewave")
-@options("extents", "seed", "policy", "out", "format", "mass")
+@options("extents", "seed", "out", "format", "mass")
 @click.option("--tol-rel", default=1e-10, show_default=True,
               help="Relative pass tolerance for the solution residuals.")
 @click.option("--p", default="0.3,-0.2,0.5", show_default=True,
@@ -391,9 +400,9 @@ def hestenes_check(extents, seed, policy, out, format, mass, input):
               show_default=True)
 @click.option("--scan", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with a list of momenta: [{mass, p}, ...].")
-def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, scan):
+def planewave(extents, seed, out, format, mass, tol_rel, p, p0, kind, scan):
     """Construct plane-wave solutions and verify their residuals."""
-    box = LatticeBox(extents, policy)
+    box = LatticeBox(extents)
     if scan:
         for param in ("mass", "p", "p0"):
             _reject_if_set(param, f"--{param} has no effect with --scan: the file "
@@ -411,14 +420,13 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
                 str(exc), param_hint="'--p'" if p0 is None else "'--p' / '--p0'")
 
     report = Report("planewave", {"extents": list(extents), "seed": seed,
-                                  "policy": policy.value, "tol_rel": tol_rel,
-                                  "kind": kind})
+                                  "tol_rel": tol_rel, "kind": kind})
     # zero-padded, so that sorting the rows keeps the input order
     width = len(str(len(momenta) - 1))
     for i, mom in enumerate(momenta):
         label = f"p{i:0{width}d}"
         row = {"mass": mom.m, "p": list(mom.p),
-               "on_shell": mom.on_shell(tol=SOLUTION_SHELL_TOL), "kind": kind}
+               "on_shell": mom.on_shell(), "kind": kind}
         if row["on_shell"]:
             basis = solution_basis(kind, mom)
             for j, amp in enumerate(basis):
@@ -435,10 +443,13 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
         else:
             # off the mass shell there is no solution; report the residual of
             # the completed amplitude as a negative control, expected nonzero
-            try:
-                amp = amplitude_from_plus(kind, mom, [1.0, 0.0, 0.0, 0.0])
-            except ValueError:  # singular for the plus half: m -/+ p0 = 0
-                amp = amplitude_from_minus(kind, mom, [1.0, 0.0, 0.0, 0.0])
+            amp = _control_amplitude(kind, mom)
+            if amp is None:
+                # a control that cannot run shows nothing, so its row fails
+                report.add("planewave", f"{label}/off_shell_control", False, **row,
+                           amplitude=None, operator=None,
+                           note="both coupling denominators are singular")
+                continue
             r_op = hestenes_residual_operator(solution(kind, mom, amp, box),
                                               mom.m).rel
             # written so that NaN fails: a control that cannot discriminate
@@ -447,32 +458,6 @@ def planewave(extents, seed, policy, out, format, mass, tol_rel, p, p0, kind, sc
                        **row, amplitude=amp.as_vector().tolist(), operator=r_op,
                        note="expected nonzero residual")
     report.emit(format, out)
-
-
-@main.command("table")
-@click.option("--dump", is_flag=True, help="Emit the 16x16 product table as CSV.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def table_cmd(dump, out):
-    """Inspect the Clifford basis product table."""
-    if not dump:
-        click.echo("use --dump to emit the table")
-        return
-    table = build_table()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["left", "right", "sign", "result"])
-    for mi_a in ALL_INDEXES:
-        for mi_b in ALL_INDEXES:
-            sign, res = table.product(mi_a, mi_b)
-            writer.writerow([as_string(mi_a) or "x", as_string(mi_b) or "x",
-                             sign, as_string(res) or "x"])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        click.echo(f"table written to {out}")
-    else:
-        click.echo(text, nl=False)
 
 
 @main.command("commutation")

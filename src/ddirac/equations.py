@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import CODIFF_STENCIL, DC_STENCIL, accumulate, apply_stencil, dirac_operator
 from .clifford import _shuffle_map, build_table
-from .lattice import BoundaryPolicy, Cochain
+from .lattice import Cochain
 from .multiindex import ALL_INDEXES, EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
@@ -33,14 +33,13 @@ class EquationResidual:
         return {"max_abs": self.max_abs, "rel": self.rel, "region": list(self.region)}
 
 
-def _summarize(residual: Cochain, reference: Cochain, depth: int) -> EquationResidual:
-    """Summarize a residual on the interior (or full box under ZERO_EXTEND)."""
-    if residual.box.policy is BoundaryPolicy.ZERO_EXTEND:
-        depth = 0
-    max_abs = residual.max_abs(depth)
+def _summarize(residual: Cochain, reference: Cochain) -> EquationResidual:
+    """Summarize a residual on the depth-1 interior, where every forward
+    difference stays inside the box."""
+    max_abs = residual.max_abs(1)
     scale = max(reference.max_abs(), TINY)
-    region = residual.box.interior_extents(depth)
-    return EquationResidual(residual, max_abs, max_abs / scale, region)
+    return EquationResidual(residual, max_abs, max_abs / scale,
+                            residual.box.interior_extents(1))
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -87,7 +86,7 @@ def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
     out = dirac_operator(omega).data.astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out, scalar_kind="complex"), omega, depth=1)
+    return _summarize(omega.like(out, scalar_kind="complex"), omega)
 
 
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
@@ -96,7 +95,7 @@ def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out, scalar_kind="complex"), omega, depth=1)
+    return _summarize(omega.like(out, scalar_kind="complex"), omega)
 
 
 # --- Hestenes equation: -(D Omega_ev) e1 e2 = m Omega_ev e0 ------------------
@@ -191,7 +190,7 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
             np.negative(scratch, out=scratch)
         acc += scratch
     np.negative(out, out=out)
-    return _summarize(omega_ev.like(out), omega_ev, depth=1)
+    return _summarize(omega_ev.like(out), omega_ev)
 
 
 def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
@@ -209,4 +208,4 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
         # sign_c * (line - m x) rounds exactly as sign_c * line - (sign_c m) x
         np.multiply(omega_ev.data[rhs], sign_c * m, out=mass)
         out[target] -= mass
-    return _summarize(omega_ev.like(out), omega_ev, depth=1)
+    return _summarize(omega_ev.like(out), omega_ev)

@@ -11,12 +11,15 @@ enters it (``from_components``, a caller's array); arithmetic on real-kind
 cochains stays float64 and is never re-scanned.  Cochain files hold a real-kind
 cochain's floats only, so loading one never builds complex data.
 
-Out-of-box reads are governed by the box's boundary policy:
-
-* ``INTERIOR`` -- difference operators are only trusted where every forward
-  shift stays inside the box; results carry the interior region used.
-* ``ZERO_EXTEND`` -- missing components read as zero, which treats the stored
-  field as a compactly supported form on the infinite lattice.
+One boundary rule holds everywhere: out-of-box reads are zero, which treats
+the stored field as a compactly supported form on the infinite lattice, so
+the algebraic operator identities are exact on the whole box.  Data that is
+not compactly supported, such as a plane wave, satisfies a difference
+equation only where each forward difference stays inside the box, so every
+residual is judged on the depth-1 interior (`LatticeBox.interior_extents`).
+`BoundaryPolicy` matters only to the chain oracle (`ddirac.chains`): under
+``INTERIOR`` a chain that leaves the box is an error, under ``ZERO_EXTEND``
+its off-box cells pair to zero.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class BoundaryPolicy(Enum):
 
 @dataclass(frozen=True)
 class LatticeBox:
-    """Finite extents N0..N3 plus the boundary policy."""
+    """Finite extents N0..N3 plus the chain oracle's boundary policy."""
 
     extents: tuple[int, int, int, int]
     policy: BoundaryPolicy = BoundaryPolicy.INTERIOR
@@ -229,22 +232,29 @@ class Cochain:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
+    def from_json_dict(cls, doc: dict) -> "Cochain":
         """Inverse of `to_json_dict`; any document that is not a valid
         cochain raises ValueError."""
         try:
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
                                  f"got {doc.get('schema_version')!r}")
-            box = LatticeBox(tuple(doc["extents"]), policy)
+            extents = tuple(doc["extents"])
+            # LatticeBox would truncate 1.9 to 1, and JSON true is a Python int
+            if not all(type(n) is int for n in extents):
+                raise ValueError(f"extents must be integers, got {doc['extents']!r}")
+            box = LatticeBox(extents)
             scalar_kind = doc.get("scalar_kind", "complex")
             data = np.zeros((NSLOTS,) + box.extents, dtype=_dtype_of(scalar_kind))
             # the floats of one slot: complex128 is itself interleaved (re, im),
             # and re + 1j*im would turn a -0.0 into 0.0
             slots = data.reshape(NSLOTS, -1).view(np.float64)
-            for by_mi in doc.get("components", {}).values():
+            for degree, by_mi in doc.get("components", {}).items():
                 for mi_string, flat in by_mi.items():
                     mi = from_string(mi_string)
+                    if degree != str(len(mi)):
+                        raise ValueError(f"component {mi_string!r} has degree "
+                                         f"{len(mi)}, filed under {degree!r}")
                     flat = np.asarray(flat, dtype=np.float64)
                     if flat.shape != slots.shape[1:]:
                         raise ValueError(
@@ -292,13 +302,13 @@ class Cochain:
             os.close(fd)
 
     @classmethod
-    def load(cls, path, policy=BoundaryPolicy.INTERIOR) -> "Cochain":
+    def load(cls, path) -> "Cochain":
         """Read a cochain file; malformed JSON, NaN, Infinity and overflowing
         numbers raise ``orjson.JSONDecodeError``, a ``ValueError``."""
         import orjson
 
         with open(path, "rb") as fh:
-            return cls.from_json_dict(orjson.loads(fh.read()), policy)
+            return cls.from_json_dict(orjson.loads(fh.read()))
 
 
 def random_cochain(box, rng, scalar_kind="complex", degrees=None,

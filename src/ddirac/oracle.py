@@ -17,7 +17,7 @@ import numpy as np
 
 from .chains import basis_chain, boundary, chain_star
 from .clifford import build_table
-from .lattice import BoundaryPolicy, Cochain, LatticeBox
+from .lattice import Cochain, LatticeBox
 from .multiindex import ALL_INDEXES, NSLOTS, SLOT_OF, levi_civita
 from .calculus import star
 
@@ -241,7 +241,7 @@ def _volume_boundary_index(extents: tuple[int, ...], degree: int) -> tuple[np.nd
     """The boundary of the degree-d volume chain as index arrays, one entry
     per term: (coefficient, left slot, left flat point, right slot, right
     flat point), with flat point -1 for a point off the box."""
-    box = LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND)
+    box = LatticeBox(extents)
 
     def flat(k):
         return int(np.ravel_multi_index(k, extents)) if box.contains(k) else -1

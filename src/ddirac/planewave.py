@@ -24,9 +24,9 @@ from .clifford import build_table, mul_basis_left, mul_basis_right
 from .lattice import Cochain, LatticeBox
 from .multiindex import EVEN_SLOTS, NSLOTS, SLOT_OF
 
-ONSHELL_TOL = 1e-12
-#: The shell test of `solution_basis`; `ddirac planewave` uses it to decide
-#: which momenta get a solution basis and which an off-shell control.
+#: The relative tolerance of `Momentum.on_shell`, the one shell test: it
+#: decides which momenta `solution_basis` accepts, and which get a solution
+#: basis or an off-shell control in ``ddirac planewave``.
 SOLUTION_SHELL_TOL = 1e-9
 
 #: Coefficient bases of the two halves of a constant even amplitude.
@@ -63,12 +63,12 @@ class Momentum:
         p0, p1, p2, p3 = self.p
         return p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 - self.m * self.m
 
-    def on_shell(self, tol: float = ONSHELL_TOL) -> bool:
-        """|p.p - m^2| <= tol * max(p0^2, m^2): the test is relative to the
-        momentum's own size, as the defect's rounding error is, so a small
-        momentum is not on shell merely by being small."""
+    def on_shell(self) -> bool:
+        """|p.p - m^2| <= SOLUTION_SHELL_TOL * max(p0^2, m^2): the test is
+        relative to the momentum's own size, as the defect's rounding error
+        is, so a small momentum is not on shell merely by being small."""
         scale = max(self.p[0] * self.p[0], self.m * self.m)
-        return abs(self.mass_shell_defect()) <= tol * scale
+        return abs(self.mass_shell_defect()) <= SOLUTION_SHELL_TOL * scale
 
     @classmethod
     def on_shell_from_spatial(cls, m, spatial, sign: int = +1) -> "Momentum":
@@ -252,7 +252,7 @@ def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
 def solution_basis(kind: str, momentum: Momentum) -> list[EvenAmplitude]:
     """Four amplitudes spanning the solution space for an on-shell momentum:
     the four canonical unit vectors of the free half, completed."""
-    if not momentum.on_shell(tol=SOLUTION_SHELL_TOL):
+    if not momentum.on_shell():
         raise ValueError(f"momentum is off shell (defect {momentum.mass_shell_defect()})")
     # complete from the half whose denominator m - s p0 is the larger, so the
     # coupling is the better conditioned one; a tie goes to m + p0 (s = -1)

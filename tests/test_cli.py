@@ -259,6 +259,16 @@ def test_csv_writes_non_finite_values_as_empty_cells(runner):
     assert all(r["operator"] == "" for r in amplitudes)
 
 
+@pytest.mark.parametrize("command", [c for c in VERDICT_ARGS if c != "commutation"])
+@pytest.mark.parametrize("extents", ["1,3,3,3", "3,3,1,3"])
+def test_unit_extent_is_usage_error(runner, command, extents):
+    """Every residual is judged on the depth-1 interior, which a unit extent
+    leaves empty: a check there would pass on no points."""
+    result = runner.invoke(main, [command, "--extents", extents])
+    assert result.exit_code == 2, result.output
+    assert "'--extents'" in result.output and "at least 2" in result.output
+
+
 def test_malformed_extents_is_usage_error(runner):
     result = runner.invoke(main, ["verify-calculus", "--extents", "0,4,4,4"])
     assert result.exit_code == 2
@@ -284,6 +294,34 @@ def test_non_finite_momentum_is_usage_error(runner, args, option):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert option in result.output
     assert "momentum components must be finite" in result.output
+
+
+def test_singular_off_shell_control_is_a_failing_row(runner):
+    """With m and p0 both ~0 neither amplitude half can be completed, so the
+    control cannot run: its row fails, without a traceback."""
+    result = runner.invoke(main, ["planewave", "--extents", "2,2,2,2", "--mass", "1e-13",
+                                  "--p", "0,0,0", "--p0", "0"])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    (entry,) = _report(result)["results"]
+    assert entry["test"] == "p0/off_shell_control" and not entry["on_shell"]
+    assert not entry["passed"]
+    assert entry["operator"] is None and entry["amplitude"] is None
+
+
+def test_singular_scan_entry_keeps_the_other_momenta(runner, tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text('[{"mass": 1e-13, "p": [0, 0, 0, 0]},'
+                    ' {"mass": 1.0, "p": [1.25, 0.75, 0.0, 0.0]}]')
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3", "--scan",
+                                  str(path)])
+    assert result.exit_code == 1, result.output
+    doc = _report(result)
+    control = _row(doc, "p0/off_shell_control")
+    assert not control["passed"] and control["operator"] is None
+    others = [r for r in doc["results"] if r["test"].startswith("p1/")]
+    assert len(others) == 5 and all(r["passed"] for r in others)
+    assert doc["summary"] == {"passed": 5, "failed": 1}
 
 
 def test_near_massless_rest_momentum_gets_a_passing_off_shell_control(runner, tmp_path):
@@ -315,15 +353,6 @@ def test_csv_format(runner):
     assert result.exit_code == 0, result.output
     lines = [l for l in result.output.splitlines() if "," in l]
     assert lines[0].startswith("passed") or "suite" in lines[0]
-
-
-def test_table_dump(runner):
-    result = runner.invoke(main, ["table", "--dump"])
-    assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
-    assert lines[0] == "left,right,sign,result"
-    assert len(lines) == 257  # header + 16*16 entries
-    assert "12,12,-1,x" in lines
 
 
 def test_commutation_command(runner):
@@ -405,11 +434,11 @@ def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
     assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0
 
 
-@pytest.mark.parametrize("command", ["verify-calculus", "verify-clifford"])
+@pytest.mark.parametrize("command", VERDICT_ARGS)
 def test_policy_rejected_where_it_has_no_effect(runner, command):
-    """Both commands measure at fixed depths, so the boundary policy changes
-    nothing in their reports and setting it is a usage error."""
-    args = [command, "--extents", "2,2,2,2", "--trials", "1"]
+    """Every residual is judged on the depth-1 interior, so no command takes
+    a boundary policy, and setting one is a usage error."""
+    args = [command, *VERDICT_ARGS[command]]
     result = runner.invoke(main, [*args, "--policy", "zeroextend"])
     assert result.exit_code == 2
     assert "--policy" in result.output
@@ -422,6 +451,27 @@ def test_policy_rejected_where_it_has_no_effect(runner, command):
     assert "policy" not in _report(result)["config"]
 
 
+#: Every command and the options it takes.  A new option changes this and the
+#: options table in the README together.
+OPTION_SURFACE = {
+    "verify-calculus": ["extents", "format", "out", "seed", "trials"],
+    "verify-clifford": ["extents", "format", "out", "seed", "trials"],
+    "dk-check": ["extents", "format", "input", "mass", "out", "seed"],
+    "hestenes-check": ["extents", "format", "input", "mass", "out", "seed"],
+    "planewave": ["extents", "format", "kind", "mass", "out", "p", "p0", "scan",
+                  "seed", "tol_rel"],
+    "commutation": ["seed"],
+}
+
+
+def test_option_surface(runner):
+    assert {name: sorted(p.name for p in command.params)
+            for name, command in main.commands.items()} == OPTION_SURFACE
+    result = runner.invoke(main, ["table", "--dump"])
+    assert result.exit_code == 2
+    assert "No such command 'table'" in result.output
+
+
 #: What each `_bad_input` case does wrong, as the usage error says it.
 BAD_INPUT_REASONS = {
     "float_count": "expected a flat list of 16 floats, got shape (14,)",
@@ -431,14 +481,15 @@ BAD_INPUT_REASONS = {
     "non_finite": "unexpected character",
     "complex_kind": "Hestenes input must be a real-kind cochain",
     "odd_degree": "Hestenes input must have even-degree components only",
+    "unit_extent": "every extent must be at least 2, got [2, 2, 1, 2]",
 }
 
 
 def _bad_input(tmp_path, rng, case):
     """Write a cochain file that `case` makes invalid; return its path."""
     kind = "complex" if case == "complex_kind" else "real"
-    doc = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind=kind,
-                         degrees={0, 2}).to_json_dict()
+    box = LatticeBox((2, 2, 1, 2) if case == "unit_extent" else (2, 2, 2, 2))
+    doc = random_cochain(box, rng, scalar_kind=kind, degrees={0, 2}).to_json_dict()
     flat = doc["components"]["0"][""]
     if case == "float_count":
         del flat[-2:]
@@ -465,7 +516,7 @@ def _bad_input(tmp_path, rng, case):
     (command, case)
     for command in ("dk-check", "hestenes-check")
     for case in ("float_count", "schema_version", "schema_version_3", "no_extents",
-                 "non_finite")
+                 "non_finite", "unit_extent")
 ] + [("hestenes-check", "complex_kind"), ("hestenes-check", "odd_degree")])
 def test_bad_input_file_is_usage_error_naming_it(runner, tmp_path, rng, command,
                                                  case):

@@ -13,7 +13,7 @@ from ddirac.equations import (
     hestenes_residual_operator,
     hestenes_residual_stencil,
 )
-from ddirac.lattice import BoundaryPolicy, LatticeBox, random_cochain
+from ddirac.lattice import LatticeBox, random_cochain
 from ddirac.multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
 
@@ -77,10 +77,10 @@ def test_hestenes_stencil_covers_even_components():
 
 @pytest.mark.parametrize("extents", [(1, 4, 4, 4), (4, 4, 1, 4)])
 def test_dk_stencil_matches_operator_with_unit_extent(rng, extents):
-    w = random_cochain(LatticeBox(extents, BoundaryPolicy.ZERO_EXTEND), rng)
+    w = random_cochain(LatticeBox(extents), rng)
     a = dk_residual_operator(w, 1.3)
     b = dk_residual_stencil(w, 1.3)
-    assert a.region == b.region == extents
+    assert a.region == b.region == tuple(n - 1 for n in extents)
     assert (a.residual - b.residual).max_abs() <= 1e-13 * w.max_abs()
 
 
@@ -125,15 +125,7 @@ def test_summary_region_shrinks_under_interior_policy(rng):
     res = dk_residual_operator(w, 1.0)
     assert res.region == (4, 4, 4, 4)
     assert res.max_abs == res.residual.max_abs(1)
-
-
-def test_summary_uses_full_box_under_zero_extension(rng):
-    box = LatticeBox((5, 5, 5, 5), BoundaryPolicy.ZERO_EXTEND)
-    w = random_cochain(box, rng)
-    res = dk_residual_operator(w, 1.0)
-    assert res.region == (5, 5, 5, 5)
-    doc = res.to_dict()
-    assert set(doc) == {"max_abs", "rel", "region"}
+    assert set(res.to_dict()) == {"max_abs", "rel", "region"}
 
 
 def test_dk_equation_relates_to_first_order_operator(rng, box4):

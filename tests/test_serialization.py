@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ddirac.lattice import BoundaryPolicy, Cochain, LatticeBox, random_cochain
+from ddirac.lattice import Cochain, LatticeBox, random_cochain
 from ddirac.multiindex import NSLOTS
 
 
@@ -59,14 +59,6 @@ def test_real_layout_is_row_major():
     assert doc["components"]["0"][""] == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_load_respects_policy(rng, tmp_path):
-    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng)
-    path = tmp_path / "p.json"
-    w.save(path)
-    back = Cochain.load(path, BoundaryPolicy.ZERO_EXTEND)
-    assert back.box.policy is BoundaryPolicy.ZERO_EXTEND
-
-
 def test_bad_component_length_rejected(rng, tmp_path):
     w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, degrees={0})
     doc = w.to_json_dict()
@@ -99,9 +91,15 @@ MALFORMED = {
     '{"schema_version": 2}': "malformed .*KeyError\\('extents'\\)",
     '{"schema_version": 2, "extents": 4}': "malformed .*'int' object is not iterable",
     '{"schema_version": 2, "extents": [1, 1, 1, 1], "components": [1]}':
-        "malformed .*'list' object has no attribute 'values'",
+        "malformed .*'list' object has no attribute 'items'",
     '{"schema_version": 2, "extents": [1, 1, 1, 1], "components": {"0": {"": {}}}}':
         "malformed .*'dict'",
+    '{"schema_version": 2, "extents": [1.9, 1, 1, true]}':
+        "extents must be integers, got \\[1.9, 1, 1, True\\]",
+    '{"schema_version": 2, "extents": [2, 2, 2, true]}': "extents must be integers",
+    '{"schema_version": 2, "extents": [1, 1, 1, 1], "scalar_kind": "real", '
+    '"components": {"1": {"": [0.5]}}}':
+        "component '' has degree 0, filed under '1'",
     '{"schema_version": 2, "extents": [1, 1, 1, 1], "tilde": "no"}':
         "tilde must be true or false, got 'no'",
     '{"schema_version": 2, "extents": [1, 1, 1, 1], "scalar_kind": "quaternion"}':
