@@ -31,8 +31,9 @@ from .calculus import (
     green_defect,
     star,
 )
-from .clifford import clifford_mul, dirac_clifford, unit_form
+from .clifford import METRIC, clifford_mul, dirac_clifford, unit_form
 from .equations import (
+    TINY,
     check_even_real,
     dk_residual_operator,
     dk_residual_stencil,
@@ -55,6 +56,8 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "DDIRAC"}
 #: Agreement of two routes to one quantity, and the defect of an identity
 #: that holds exactly, relative to the input.
 CROSS_TOL = 1e-13
+#: A plane-wave solution's residual on either route, relative to the wave.
+SOLUTION_TOL = 1e-10
 
 
 def _finite_or_null(value):
@@ -260,7 +263,7 @@ def verify_calculus(extents, seed, out, format, trials):
     for _ in range(trials):
         for r in range(5):
             w = random_cochain(box, rng, degrees={r})
-            scale = max(w.max_abs(), 1e-300)
+            scale = max(w.max_abs(), TINY)
             worst_dd = _worst(worst_dd, d_c(d_c(w)).max_abs() / scale)
             worst_deldel = _worst(worst_deldel,
                                   codifferential(codifferential(w)).max_abs() / scale)
@@ -308,12 +311,11 @@ def verify_clifford(extents, seed, out, format, trials):
 
     # e_mu e_nu + e_nu e_mu = 2 g_{mu nu} x, checked on the constant unit forms
     anti_ok = True
-    metric = (1, -1, -1, -1)
     for a in range(4):
         for b in range(4):
             lhs = clifford_mul(unit_form((a,), box), unit_form((b,), box)) + \
                 clifford_mul(unit_form((b,), box), unit_form((a,), box))
-            rhs = (2 * metric[a] if a == b else 0) * unit_form((), box)
+            rhs = (2 * METRIC[a] if a == b else 0) * unit_form((), box)
             anti_ok = anti_ok and (lhs - rhs).max_abs() == 0.0
     report.add("clifford", "anticommutation", anti_ok)
 
@@ -327,11 +329,20 @@ def verify_clifford(extents, seed, out, format, trials):
     for _ in range(trials):
         w = random_cochain(box, rng)
         diff = (dirac_clifford(w) - dirac_operator(w)).max_abs(1)
-        worst = _worst(worst, diff / max(w.max_abs(), 1e-300))
+        worst = _worst(worst, diff / max(w.max_abs(), TINY))
     report.add("clifford", "first_order_operator_equivalence", worst <= 1e-12,
                rel=worst)
 
     report.emit(format, out)
+
+
+def _judge(omega, mass, operator_fn, stencil_fn):
+    """Both routes' residuals of `omega`, and the largest difference between
+    them on the depth-1 interior: absolute, and relative to `omega`."""
+    res_op = operator_fn(omega, mass)
+    res_st = stencil_fn(omega, mass)
+    cross = (res_op.residual - res_st.residual).max_abs(1)
+    return res_op, res_st, cross, cross / max(omega.max_abs(), TINY)
 
 
 def _residual_command(name, extents, seed, out, fmt, mass, input_path,
@@ -345,14 +356,11 @@ def _residual_command(name, extents, seed, out, fmt, mass, input_path,
     report = Report(name, {"extents": list(omega.box.extents), "seed": seed,
                            "mass": mass, "input": input_path})
     suite = name.removesuffix("-check")
-    res_op = operator_fn(omega, mass)
-    res_st = stencil_fn(omega, mass)
+    res_op, res_st, cross, cross_rel = _judge(omega, mass, operator_fn, stencil_fn)
     for test, res in (("operator_residual", res_op), ("stencil_residual", res_st)):
         report.add(suite, test, math.isfinite(res.max_abs) and math.isfinite(res.rel),
                    **res.to_dict())
     # the exit status rests on this fixed tolerance, so there is no --tol-rel
-    cross = (res_op.residual - res_st.residual).max_abs(1)
-    cross_rel = cross / max(omega.max_abs(), 1e-300)
     report.add(suite, "stencil_cross_check", cross_rel <= CROSS_TOL,
                max_abs=cross, rel=cross_rel)
     report.emit(fmt, out)
@@ -390,18 +398,15 @@ def _control_amplitude(kind: str, mom: Momentum):
 
 @main.command("planewave")
 @options("extents", "seed", "out", "format", "mass")
-@click.option("--tol-rel", default=1e-10, show_default=True,
-              help="Relative pass tolerance for the solution residuals.")
 @click.option("--p", default="0.3,-0.2,0.5", show_default=True,
               help="Spatial momentum p1,p2,p3.")
 @click.option("--p0", default=None, type=float,
               help="Time component; derived from the mass shell if omitted.")
-@click.option("--kind", type=click.Choice(["plus", "minus"]), default="minus",
-              show_default=True)
 @click.option("--scan", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with a list of momenta: [{mass, p}, ...].")
-def planewave(extents, seed, out, format, mass, tol_rel, p, p0, kind, scan):
-    """Construct plane-wave solutions and verify their residuals."""
+def planewave(extents, seed, out, format, mass, p, p0, scan):
+    """Construct plane-wave solutions of both kinds and verify their
+    residuals; --seed draws the amplitude-half commutation checks."""
     box = LatticeBox(extents)
     if scan:
         for param in ("mass", "p", "p0"):
@@ -419,30 +424,31 @@ def planewave(extents, seed, out, format, mass, tol_rel, p, p0, kind, scan):
             raise click.BadParameter(
                 str(exc), param_hint="'--p'" if p0 is None else "'--p' / '--p0'")
 
-    report = Report("planewave", {"extents": list(extents), "seed": seed,
-                                  "tol_rel": tol_rel, "kind": kind})
+    report = Report("planewave", {"extents": list(extents), "seed": seed})
     # zero-padded, so that sorting the rows keeps the input order
     width = len(str(len(momenta) - 1))
     for i, mom in enumerate(momenta):
-        label = f"p{i:0{width}d}"
-        row = {"mass": mom.m, "p": list(mom.p),
-               "on_shell": mom.on_shell(), "kind": kind}
-        if row["on_shell"]:
-            basis = solution_basis(kind, mom)
-            for j, amp in enumerate(basis):
-                sol = solution(kind, mom, amp, box)
-                r_op = hestenes_residual_operator(sol, mom.m).rel
-                r_st = hestenes_residual_stencil(sol, mom.m).rel
-                report.add("planewave", f"{label}/amplitude_{j}",
-                           r_op <= tol_rel and r_st <= tol_rel, **row,
-                           amplitude=amp.as_vector().tolist(),
-                           operator=r_op, stencil=r_st)
-            rank = basis_rank(basis)
-            report.add("planewave", f"{label}/basis_rank", rank == 4, **row,
-                       rank=rank)
-        else:
-            # off the mass shell there is no solution; report the residual of
-            # the completed amplitude as a negative control, expected nonzero
+        for kind in ("minus", "plus"):
+            label = f"p{i:0{width}d}/{kind}"
+            row = {"mass": mom.m, "p": list(mom.p), "on_shell": mom.on_shell(),
+                   "kind": kind}
+            if row["on_shell"]:
+                basis = solution_basis(kind, mom)
+                for j, amp in enumerate(basis):
+                    res_op, res_st, _, cross = _judge(
+                        solution(kind, mom, amp, box), mom.m,
+                        hestenes_residual_operator, hestenes_residual_stencil)
+                    passed = (res_op.rel <= SOLUTION_TOL and res_st.rel <= SOLUTION_TOL
+                              and cross <= CROSS_TOL)
+                    report.add("planewave", f"{label}/amplitude_{j}", passed, **row,
+                               amplitude=amp.as_vector().tolist(),
+                               operator=res_op.rel, stencil=res_st.rel, cross=cross)
+                rank = basis_rank(basis)
+                report.add("planewave", f"{label}/basis_rank", rank == 4, **row,
+                           rank=rank)
+                continue
+            # off the mass shell there is no solution: the residual of the
+            # completed amplitude is a negative control, expected nonzero
             amp = _control_amplitude(kind, mom)
             if amp is None:
                 # a control that cannot run shows nothing, so its row fails
@@ -452,22 +458,13 @@ def planewave(extents, seed, out, format, mass, tol_rel, p, p0, kind, scan):
                 continue
             r_op = hestenes_residual_operator(solution(kind, mom, amp, box),
                                               mom.m).rel
-            # written so that NaN fails: a control that cannot discriminate
-            # shows nothing
-            report.add("planewave", f"{label}/off_shell_control", r_op > tol_rel,
+            # NaN fails too: a control that cannot discriminate shows nothing
+            report.add("planewave", f"{label}/off_shell_control", r_op > SOLUTION_TOL,
                        **row, amplitude=amp.as_vector().tolist(), operator=r_op,
                        note="expected nonzero residual")
-    report.emit(format, out)
-
-
-@main.command("commutation")
-@options("seed")
-def commutation(seed):
-    """Run the amplitude-half commutation checks."""
-    report = Report("commutation", {"seed": seed})
     for test, passed in commutation_checks(seed).items():
         report.add("commutation", test, passed)
-    report.emit("json", None)
+    report.emit(format, out)
 
 
 if __name__ == "__main__":

@@ -192,10 +192,12 @@ class Cochain:
     # -- norms -----------------------------------------------------------------
 
     def max_abs(self, depth: int = 0) -> float:
-        """Max component magnitude, optionally over the depth-d interior."""
+        """Max component magnitude, optionally over the depth-d interior.
+        NaN where that interior is empty: a check over no points must not
+        read as a perfect 0.0."""
         view = self.data[interior_slices(depth)]
         if not view.size:
-            return 0.0
+            return float("nan")
         # one slot-sized |.| temporary at a time; np.max keeps a NaN
         return float(np.max([np.abs(slot).max() for slot in view]))
 
@@ -320,5 +322,5 @@ def random_cochain(box, rng, scalar_kind="complex", degrees=None,
             continue
         out.data[slot] = rng.uniform(-1.0, 1.0, box.extents)
         if scalar_kind == "complex":
-            out.data[slot] += 1j * rng.uniform(-1.0, 1.0, box.extents)
+            out.data[slot].imag = rng.uniform(-1.0, 1.0, box.extents)
     return out

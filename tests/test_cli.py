@@ -33,14 +33,22 @@ def _amplitude_rows(doc):
     return [r for r in doc["results"] if "/amplitude_" in r["test"]]
 
 
+def _planewave_rows(doc):
+    return [r for r in doc["results"] if r["suite"] == "planewave"]
+
+
+#: The amplitude-half checks that `planewave --seed` draws.
+COMMUTATION_TESTS = {f"e0_{half}_commutation" for half in ("plus", "minus")} | {
+    f"e0{i}_{half}_swaps_halves" for i in (1, 2, 3) for half in ("plus", "minus")}
+
+
 #: One small, passing invocation of each verdict subcommand.
 VERDICT_ARGS = {
     "verify-calculus": ["--extents", "3,3,3,3", "--trials", "2", "--seed", "9"],
     "verify-clifford": ["--extents", "2,2,2,2", "--trials", "1", "--seed", "9"],
     "dk-check": ["--extents", "3,3,3,3", "--seed", "9"],
     "hestenes-check": ["--extents", "3,3,3,3", "--seed", "9"],
-    "planewave": ["--extents", "3,3,3,3"],
-    "commutation": ["--seed", "9"],
+    "planewave": ["--extents", "3,3,3,3", "--seed", "9"],
 }
 
 
@@ -92,9 +100,10 @@ def test_every_verdict_emits_one_schema(runner):
     # numpy scalars become Python ones, but ints and bools keep their type
     gamma = _row(docs["verify-clifford"], "gamma_matrix_oracle")
     assert type(gamma["entries"]) is int and gamma["entries"] == 256
-    rank = _row(docs["planewave"], "p0/basis_rank")
-    assert type(rank["rank"]) is int and rank["rank"] == 4
-    assert rank["on_shell"] is True
+    for kind in ("plus", "minus"):
+        rank = _row(docs["planewave"], f"p0/{kind}/basis_rank")
+        assert type(rank["rank"]) is int and rank["rank"] == 4
+        assert rank["on_shell"] is True and rank["kind"] == kind
 
 
 def test_dk_check_random_form(runner):
@@ -126,11 +135,17 @@ def test_planewave_on_shell(runner):
                                   "--p", "0.3,-0.2,0.5", "--mass", "1.0"])
     assert result.exit_code == 0, result.output
     doc = _report(result)
-    assert _row(doc, "p0/basis_rank")["on_shell"]
-    assert _row(doc, "p0/basis_rank")["rank"] == 4
-    amplitudes = _amplitude_rows(doc)
-    assert len(amplitudes) == 4
-    assert all(r["operator"] <= 1e-10 for r in amplitudes)
+    for kind in ("plus", "minus"):
+        assert _row(doc, f"p0/{kind}/basis_rank")["on_shell"]
+        assert _row(doc, f"p0/{kind}/basis_rank")["rank"] == 4
+        amplitudes = [r for r in _amplitude_rows(doc) if r["kind"] == kind]
+        assert [r["test"] for r in amplitudes] == [
+            f"p0/{kind}/amplitude_{j}" for j in range(4)]
+        assert all(r["operator"] <= 1e-10 and r["stencil"] <= 1e-10
+                   and r["cross"] <= 1e-13 for r in amplitudes)
+    assert {r["test"] for r in doc["results"] if r["suite"] == "commutation"} == \
+        COMMUTATION_TESTS
+    assert doc["summary"] == {"passed": 18, "failed": 0}
 
 
 def test_planewave_off_shell_is_negative_control(runner):
@@ -138,25 +153,32 @@ def test_planewave_off_shell_is_negative_control(runner):
                                   "--p", "0.3,0.0,0.0", "--p0", "2.0"])
     assert result.exit_code == 0, result.output
     doc = _report(result)
-    (entry,) = doc["results"]
-    assert entry["test"] == "p0/off_shell_control"
-    assert not entry["on_shell"]
-    assert entry["operator"] > 1e-3
-    assert entry["note"] == "expected nonzero residual"
+    rows = _planewave_rows(doc)
+    assert [r["test"] for r in rows] == ["p0/minus/off_shell_control",
+                                         "p0/plus/off_shell_control"]
+    for entry, kind in zip(rows, ("minus", "plus")):
+        assert entry["kind"] == kind and not entry["on_shell"]
+        assert entry["operator"] > 1e-3
+        assert entry["note"] == "expected nonzero residual"
 
 
 @pytest.mark.parametrize("p0, kind", [("1", "minus"), ("-1", "plus")])
 def test_off_shell_control_falls_back_to_minus_half(runner, p0, kind):
-    """Where m -/+ p0 = 0 the plus half cannot be completed, so the control
-    completes from the minus half's first unit vector (e01 = 1)."""
+    """Where m -/+ p0 = 0 the plus half of `kind` cannot be completed, so its
+    control completes from the minus half's first unit vector (e01 = 1); the
+    other kind completes from its plus half (x = 1)."""
+    other = "plus" if kind == "minus" else "minus"
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4", "--mass", "1",
-                                  "--p", "0.3,0,0", "--p0", p0, "--kind", kind])
+                                  "--p", "0.3,0,0", "--p0", p0])
     assert result.exit_code == 0, result.output
-    entry = _row(_report(result), "p0/off_shell_control")
+    doc = _report(result)
+    entry = _row(doc, f"p0/{kind}/off_shell_control")
     assert entry["passed"] and not entry["on_shell"]
     # coefficient order: x, e01, e02, e03, e12, e13, e23, e0123
     assert entry["amplitude"][1] == 1.0
     assert entry["amplitude"][2:4] == [0.0, 0.0] and entry["amplitude"][7] == 0.0
+    entry = _row(doc, f"p0/{other}/off_shell_control")
+    assert entry["passed"] and entry["amplitude"][0] == 1.0
 
 
 def _strict_json(text):
@@ -174,11 +196,13 @@ def test_planewave_overflow_fails_with_strict_json(runner):
                                   "--p", "100,0,0"])
     assert result.exit_code != 0
     doc = _strict_json(result.stdout)
-    assert _row(doc, "p0/basis_rank")["on_shell"]
-    assert doc["summary"]["failed"] == 4
+    assert _row(doc, "p0/plus/basis_rank")["on_shell"]
+    assert _row(doc, "p0/minus/basis_rank")["on_shell"]
+    assert doc["summary"]["failed"] == 8
     amplitudes = _amplitude_rows(doc)
-    assert len(amplitudes) == 4
+    assert len(amplitudes) == 8
     assert all(r["operator"] is None for r in amplitudes)
+    assert not any(r["passed"] for r in amplitudes)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -206,7 +230,8 @@ def test_planewave_scan_file(runner, tmp_path):
                                   "--scan", str(path)])
     assert result.exit_code == 0, result.output
     doc = _report(result)
-    assert {r["test"].split("/")[0] for r in doc["results"]} == {"p0", "p1"}
+    assert {tuple(r["test"].split("/")[:2]) for r in _planewave_rows(doc)} == {
+        (p, kind) for p in ("p0", "p1") for kind in ("plus", "minus")}
     assert doc["summary"]["failed"] == 0
 
 
@@ -222,10 +247,10 @@ def test_momentum_options_rejected_with_scan(runner, tmp_path, option, value):
     assert f"--{option} has no effect with --scan" in result.output
     result = runner.invoke(main, args, env={f"DDIRAC_PLANEWAVE_{option.upper()}": value})
     assert result.exit_code == 2, result.output
-    # --kind still applies with --scan
-    result = runner.invoke(main, [*args, "--kind", "plus"])
+    # the file's momenta get rows of both kinds
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert {r["kind"] for r in _report(result)["results"]} == {"plus"}
+    assert {r["kind"] for r in _planewave_rows(_report(result))} == {"plus", "minus"}
 
 
 @pytest.mark.parametrize("rel", [0.0, float("nan")])
@@ -241,7 +266,10 @@ def test_off_shell_control_fails_when_it_does_not_discriminate(runner, monkeypat
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
                                   "--p", "0.3,0,0", "--p0", "2.0"])
     assert result.exit_code == 1, result.output
-    assert not _row(_report(result), "p0/off_shell_control")["passed"]
+    doc = _report(result)
+    for kind in ("plus", "minus"):
+        assert not _row(doc, f"p0/{kind}/off_shell_control")["passed"]
+    assert doc["summary"]["failed"] == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -255,11 +283,11 @@ def test_csv_writes_non_finite_values_as_empty_cells(runner):
     assert not {"nan", "inf", "-inf"} & {cell.lower() for row in rows for cell in row}
     amplitudes = [r for r in csv.DictReader(io.StringIO(result.stdout))
                   if "/amplitude_" in r["test"]]
-    assert len(amplitudes) == 4
+    assert len(amplitudes) == 8
     assert all(r["operator"] == "" for r in amplitudes)
 
 
-@pytest.mark.parametrize("command", [c for c in VERDICT_ARGS if c != "commutation"])
+@pytest.mark.parametrize("command", VERDICT_ARGS)
 @pytest.mark.parametrize("extents", ["1,3,3,3", "3,3,1,3"])
 def test_unit_extent_is_usage_error(runner, command, extents):
     """Every residual is judged on the depth-1 interior, which a unit extent
@@ -303,10 +331,14 @@ def test_singular_off_shell_control_is_a_failing_row(runner):
                                   "--p", "0,0,0", "--p0", "0"])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    (entry,) = _report(result)["results"]
-    assert entry["test"] == "p0/off_shell_control" and not entry["on_shell"]
-    assert not entry["passed"]
-    assert entry["operator"] is None and entry["amplitude"] is None
+    doc = _report(result)
+    rows = _planewave_rows(doc)
+    assert [r["test"] for r in rows] == ["p0/minus/off_shell_control",
+                                         "p0/plus/off_shell_control"]
+    for entry in rows:
+        assert not entry["on_shell"] and not entry["passed"]
+        assert entry["operator"] is None and entry["amplitude"] is None
+    assert doc["summary"]["failed"] == 2
 
 
 def test_singular_scan_entry_keeps_the_other_momenta(runner, tmp_path):
@@ -317,11 +349,13 @@ def test_singular_scan_entry_keeps_the_other_momenta(runner, tmp_path):
                                   str(path)])
     assert result.exit_code == 1, result.output
     doc = _report(result)
-    control = _row(doc, "p0/off_shell_control")
-    assert not control["passed"] and control["operator"] is None
+    for kind in ("plus", "minus"):
+        control = _row(doc, f"p0/{kind}/off_shell_control")
+        assert not control["passed"] and control["operator"] is None
     others = [r for r in doc["results"] if r["test"].startswith("p1/")]
-    assert len(others) == 5 and all(r["passed"] for r in others)
-    assert doc["summary"] == {"passed": 5, "failed": 1}
+    assert len(others) == 10 and all(r["passed"] for r in others)
+    # 10 rows for p1, and the 8 commutation rows
+    assert doc["summary"] == {"passed": 18, "failed": 2}
 
 
 def test_near_massless_rest_momentum_gets_a_passing_off_shell_control(runner, tmp_path):
@@ -330,9 +364,10 @@ def test_near_massless_rest_momentum_gets_a_passing_off_shell_control(runner, tm
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3", "--scan",
                                   str(path)])
     assert result.exit_code == 0, result.output
-    (entry,) = _report(result)["results"]
-    assert entry["test"] == "p0/off_shell_control"
-    assert entry["passed"] and not entry["on_shell"]
+    rows = _planewave_rows(_report(result))
+    assert [r["test"] for r in rows] == ["p0/minus/off_shell_control",
+                                         "p0/plus/off_shell_control"]
+    assert all(r["passed"] and not r["on_shell"] for r in rows)
 
 
 def test_report_written_to_file(runner, tmp_path):
@@ -355,12 +390,36 @@ def test_csv_format(runner):
     assert lines[0].startswith("passed") or "suite" in lines[0]
 
 
-def test_commutation_command(runner):
-    result = runner.invoke(main, ["commutation", "--seed", "3"])
+def test_planewave_runs_the_commutation_suite(runner):
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3", "--seed", "3"])
     assert result.exit_code == 0
     doc = _report(result)
-    assert len(doc["results"]) == 8
-    assert all(r["passed"] for r in doc["results"])
+    rows = [r for r in doc["results"] if r["suite"] == "commutation"]
+    assert len(rows) == 8 and {r["test"] for r in rows} == COMMUTATION_TESTS
+    assert all(r["passed"] for r in rows)
+    assert set(rows[0]) == {"suite", "test", "passed"}
+
+
+def test_seed_reaches_the_commutation_checks(runner, monkeypatch):
+    """--seed has an effect: it seeds the amplitude-half draws, and the rows
+    carry what the checks return for that seed."""
+    seed = 11
+    seeds = []
+    checks = ddirac.cli.commutation_checks
+
+    def spy(rng=None):
+        seeds.append(rng)
+        return checks(rng)
+
+    monkeypatch.setattr(ddirac.cli, "commutation_checks", spy)
+    result = runner.invoke(main, ["planewave", "--extents", "2,2,2,2",
+                                  "--seed", str(seed)])
+    assert result.exit_code == 0, result.output
+    assert seeds == [seed]
+    doc = _report(result)
+    assert doc["config"]["seed"] == seed
+    assert {r["test"]: r["passed"] for r in doc["results"]
+            if r["suite"] == "commutation"} == checks(seed)
 
 
 def test_env_var_configures_option(runner):
@@ -405,10 +464,30 @@ def test_planewave_fails_on_stencil_residual(runner, monkeypatch):
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])
     assert result.exit_code == 1, result.output
     doc = _report(result)
-    assert doc["summary"]["failed"] == 4
+    assert doc["summary"]["failed"] == 8
     amplitudes = _amplitude_rows(doc)
-    assert len(amplitudes) == 4
-    assert all(r["stencil"] == 1.0 for r in amplitudes)
+    assert len(amplitudes) == 8
+    assert all(r["stencil"] == 1.0 and not r["passed"] for r in amplitudes)
+
+
+def test_planewave_fails_when_the_routes_disagree(runner, monkeypatch):
+    """Each route's residual stays below 1e-10, but the two residual fields
+    differ by 1e-12 everywhere: the cross-check fails every amplitude row."""
+    stencil = ddirac.cli.hestenes_residual_stencil
+
+    def shifted(omega, m):
+        res = stencil(omega, m)
+        return EquationResidual(res.residual.like(res.residual.data + 1e-12),
+                                res.max_abs, res.rel, res.region)
+
+    monkeypatch.setattr(ddirac.cli, "hestenes_residual_stencil", shifted)
+    result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])
+    assert result.exit_code == 1, result.output
+    amplitudes = _amplitude_rows(_report(result))
+    assert len(amplitudes) == 8
+    for r in amplitudes:
+        assert not r["passed"] and r["cross"] > 1e-13
+        assert r["operator"] <= 1e-10 and r["stencil"] <= 1e-10
 
 
 @pytest.mark.parametrize("command", ["dk-check", "hestenes-check", "planewave"])
@@ -416,14 +495,16 @@ def test_csv_report_has_header_and_rows(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3", "--format", "csv"])
     assert result.exit_code == 0, result.output
     table = list(csv.DictReader(io.StringIO(result.stdout)))
-    # planewave: four amplitudes and the basis rank of one on-shell momentum
-    assert len(table) == (5 if command == "planewave" else 3)
+    # planewave: per kind, four amplitudes and the basis rank of one on-shell
+    # momentum; and the eight commutation rows
+    assert len(table) == (18 if command == "planewave" else 3)
     assert all(r["suite"] and r["test"] and r["passed"] == "True" for r in table)
 
 
 @pytest.mark.parametrize("command", ["dk-check", "hestenes-check",
-                                     "verify-calculus", "verify-clifford"])
+                                     "verify-calculus", "verify-clifford", "planewave"])
 def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
+    """Every pass threshold is a fixed tolerance, which no option loosens."""
     result = runner.invoke(main, [command, "--extents", "3,3,3,3",
                                   "--tol-rel", "1e-3"])
     assert result.exit_code == 2
@@ -432,6 +513,20 @@ def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
     result = runner.invoke(main, [command, "--extents", "3,3,3,3"], env=env)
     assert result.exit_code == 2
     assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0
+
+
+def test_kind_rejected_since_planewave_checks_both(runner):
+    args = ["planewave", "--extents", "3,3,3,3"]
+    result = runner.invoke(main, [*args, "--kind", "plus"])
+    assert result.exit_code == 2
+    assert "--kind" in result.output
+    result = runner.invoke(main, args, env={"DDIRAC_PLANEWAVE_KIND": "plus"})
+    assert result.exit_code == 2
+    assert "DDIRAC_PLANEWAVE_KIND" in result.output
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert {r["kind"] for r in _planewave_rows(_report(result))} == {"plus", "minus"}
+    assert "kind" not in _report(result)["config"]
 
 
 @pytest.mark.parametrize("command", VERDICT_ARGS)
@@ -458,18 +553,21 @@ OPTION_SURFACE = {
     "verify-clifford": ["extents", "format", "out", "seed", "trials"],
     "dk-check": ["extents", "format", "input", "mass", "out", "seed"],
     "hestenes-check": ["extents", "format", "input", "mass", "out", "seed"],
-    "planewave": ["extents", "format", "kind", "mass", "out", "p", "p0", "scan",
-                  "seed", "tol_rel"],
-    "commutation": ["seed"],
+    "planewave": ["extents", "format", "mass", "out", "p", "p0", "scan", "seed"],
 }
 
 
 def test_option_surface(runner):
     assert {name: sorted(p.name for p in command.params)
             for name, command in main.commands.items()} == OPTION_SURFACE
+    assert sum(map(len, OPTION_SURFACE.values())) == 30
     result = runner.invoke(main, ["table", "--dump"])
     assert result.exit_code == 2
     assert "No such command 'table'" in result.output
+    # its checks are the commutation suite of `planewave`
+    result = runner.invoke(main, ["commutation", "--seed", "3"])
+    assert result.exit_code == 2
+    assert "No such command 'commutation'" in result.output
 
 
 #: What each `_bad_input` case does wrong, as the usage error says it.

@@ -84,6 +84,21 @@ def test_dk_stencil_matches_operator_with_unit_extent(rng, extents):
     assert (a.residual - b.residual).max_abs() <= 1e-13 * w.max_abs()
 
 
+@pytest.mark.parametrize("extents", [(1, 3, 3, 3), (3, 3, 3, 1)])
+@pytest.mark.parametrize("route, kwargs", [
+    (dk_residual_operator, {}),
+    (dk_residual_stencil, {}),
+    (hestenes_residual_operator, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
+    (hestenes_residual_stencil, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
+])
+def test_empty_interior_gives_nan_summary(rng, extents, route, kwargs):
+    """A unit extent leaves the depth-1 interior empty: a residual over no
+    points is NaN, never a perfect 0.0."""
+    res = route(random_cochain(LatticeBox(extents), rng, **kwargs), 1.3)
+    assert 0 in res.region
+    assert np.isnan(res.max_abs) and np.isnan(res.rel)
+
+
 def test_hestenes_stencil_matches_operator(rng, box4):
     for _ in range(10):
         w = random_cochain(box4, rng, scalar_kind="real", degrees={0, 2, 4})

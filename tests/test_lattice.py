@@ -140,7 +140,8 @@ def test_real_max_abs_of_zeros_is_positive_zero():
 @settings(max_examples=150, deadline=None)
 def test_max_abs_equals_whole_array_abs_max(extents, depth, kind, seed, zeros, planted):
     """The per-slot maxima give the float of np.abs(view).max(), bit for bit:
-    a NaN wins, an infinity counts and -0.0 reads as 0.0."""
+    a NaN wins, an infinity counts and -0.0 reads as 0.0.  An empty interior
+    gives NaN."""
     w = random_cochain(LatticeBox(extents), np.random.default_rng(seed), scalar_kind=kind)
     if zeros:
         w.data[...] = -0.0
@@ -149,7 +150,7 @@ def test_max_abs_equals_whole_array_abs_max(extents, depth, kind, seed, zeros, p
         part = flat.imag if imag and kind == "complex" else flat.real
         part[pos % flat.size] = value
     view = w.data[interior_slices(depth)]
-    want = float(np.abs(view).max()) if view.size else 0.0
+    want = float(np.abs(view).max()) if view.size else float("nan")
     got = w.max_abs(depth)
     assert (np.isnan(got) and np.isnan(want)) or got.hex() == want.hex()
 
@@ -177,15 +178,38 @@ def test_real_kind_float_data_is_kept_as_given():
     assert Cochain(box, data, scalar_kind="real").data is data
 
 
+def _draws_in_slot_order(box, seed, kind, degrees):
+    """The reference draw stream: per slot in slot order, one uniform draw
+    for the real parts, then for the complex kind one for the imaginary
+    parts."""
+    rng = np.random.default_rng(seed)
+    out = Cochain.zeros(box, kind)
+    for slot, mi in enumerate(ALL_INDEXES):
+        if len(mi) in degrees:
+            out.data[slot] = rng.uniform(-1.0, 1.0, box.extents)
+            if kind == "complex":
+                out.data[slot] += 1j * rng.uniform(-1.0, 1.0, box.extents)
+    return out
+
+
 def test_real_random_cochain_keeps_draw_order():
-    """One uniform draw per slot, in slot order, as the complex kind's real
-    parts: seeded real inputs are the same numbers as before."""
+    """Seeded real inputs are the same numbers, bit for bit, as the complex
+    kind's real parts were."""
     box = LatticeBox((2, 3, 1, 2))
     w = random_cochain(box, np.random.default_rng(3), scalar_kind="real", degrees={1, 3})
-    rng = np.random.default_rng(3)
-    for slot, mi in enumerate(ALL_INDEXES):
-        expect = rng.uniform(-1.0, 1.0, box.extents) if len(mi) in (1, 3) else 0.0
-        assert np.array_equal(w.data[slot], np.broadcast_to(expect, box.extents))
+    expect = _draws_in_slot_order(box, 3, "real", {1, 3})
+    assert w.data.dtype == np.float64
+    assert w.data.tobytes() == expect.data.tobytes()
+
+
+def test_complex_random_cochain_keeps_draw_order():
+    """The imaginary draw is written in place, and gives the same numbers,
+    bit for bit, as adding 1j times it."""
+    box = LatticeBox((3, 4, 5, 6))
+    w = random_cochain(box, np.random.default_rng(5), degrees={0, 2, 3})
+    expect = _draws_in_slot_order(box, 5, "complex", {0, 2, 3})
+    assert w.data.dtype == np.complex128
+    assert w.data.tobytes() == expect.data.tobytes()
 
 
 def _as_complex(w):
