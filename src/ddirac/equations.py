@@ -22,12 +22,15 @@ TINY = 1e-300
 
 @dataclass(frozen=True)
 class EquationResidual:
-    """Residual field plus scalar summary over the evaluated region."""
+    """Residual field plus scalar summary over the evaluated region.
+    `scale` is the input's largest magnitude (at least TINY), the divisor of
+    `rel`; it is not part of the report."""
 
     residual: Cochain
     max_abs: float
     rel: float
     region: tuple[int, ...]
+    scale: float
 
     def to_dict(self) -> dict:
         return {"max_abs": self.max_abs, "rel": self.rel, "region": list(self.region)}
@@ -39,7 +42,7 @@ def _summarize(residual: Cochain, reference: Cochain) -> EquationResidual:
     max_abs = residual.max_abs(1)
     scale = max(reference.max_abs(), TINY)
     return EquationResidual(residual, max_abs, max_abs / scale,
-                            residual.box.interior_extents(1))
+                            residual.box.interior_extents(1), scale)
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -67,8 +70,8 @@ DK_STENCIL = {
 
 
 def _check_mass(m: float):
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    if not (np.isfinite(m) and m > 0):
+        raise ValueError(f"mass must be finite and positive, got {m}")
 
 
 def _subtract_mass(out: np.ndarray, data: np.ndarray, m: float):

@@ -20,10 +20,15 @@ residual is judged on the depth-1 interior (`LatticeBox.interior_extents`).
 `BoundaryPolicy` matters only to the chain oracle (`ddirac.chains`): under
 ``INTERIOR`` a chain that leaves the box is an error, under ``ZERO_EXTEND``
 its off-box cells pair to zero.
+
+On glibc, importing this module sets two malloc thresholds once, so that the
+memory of a freed cochain stays in the process heap and the next cochain
+reuses it without page faults (see `_keep_freed_memory`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import stat
 from dataclasses import dataclass
@@ -49,6 +54,49 @@ REAL_IMAG_TOL = 1e-14
 #: (re, 0.0) pairs; version-1 files are rejected.
 SCHEMA_VERSION = 2
 
+#: glibc serves an allocation of at least M_MMAP_THRESHOLD bytes with a fresh
+#: mmap and unmaps it on free, so each new cochain (2.65 MB at 12^4) is
+#: faulted in page by page.  32 MiB is glibc's largest value on 64-bit; it
+#: keeps cochains up to a 16^4 complex one (16.8 MB) in the heap.
+MALLOC_MMAP_THRESHOLD = 32 * 2**20
+#: glibc gives free memory at the top of the heap back to the OS once it
+#: exceeds M_TRIM_THRESHOLD, and the next cochain faults it in again.
+#: 256 MiB is above the working set of a 16^4 residual check (~110 MB).
+MALLOC_TRIM_THRESHOLD = 256 * 2**20
+#: mallopt parameter numbers, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc's own malloc variables; a user who sets one has tuned malloc already.
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "MALLOC_MMAP_MAX_")
+
+
+def _keep_freed_memory() -> bool:
+    """Set both malloc thresholds through glibc's `mallopt`; return whether
+    it did.  Setting either one turns off glibc's dynamic threshold, which
+    otherwise raises both as large blocks are freed, so both are set: the
+    trim threshold alone leaves cochains on mmap, and the mmap threshold
+    alone leaves the heap top trimmed.  A no-op off glibc, and where the user
+    has set glibc's own MALLOC_*_ variables or ``glibc.malloc.*`` tunables."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not this name
+        glibc = None
+    if not glibc:
+        return False
+    if any(name in os.environ for name in _MALLOC_ENV) or \
+            "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+    return True
+
+
+_keep_freed_memory()
+
 
 class BoundaryPolicy(Enum):
     INTERIOR = "interior"
@@ -63,10 +111,14 @@ class LatticeBox:
     policy: BoundaryPolicy = BoundaryPolicy.INTERIOR
 
     def __post_init__(self):
-        ext = tuple(int(n) for n in self.extents)
+        ext = tuple(self.extents)
+        # int() would truncate 2.7 to 2, and a bool is an int to Python
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in ext):
+            raise ValueError(f"extents must be integers, got {list(ext)}")
         if len(ext) != 4 or any(n < 1 for n in ext):
             raise ValueError(f"extents must be four positive integers, got {self.extents}")
-        object.__setattr__(self, "extents", ext)
+        object.__setattr__(self, "extents", tuple(int(n) for n in ext))
 
     @property
     def npoints(self) -> int:
@@ -241,11 +293,7 @@ class Cochain:
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
                                  f"got {doc.get('schema_version')!r}")
-            extents = tuple(doc["extents"])
-            # LatticeBox would truncate 1.9 to 1, and JSON true is a Python int
-            if not all(type(n) is int for n in extents):
-                raise ValueError(f"extents must be integers, got {doc['extents']!r}")
-            box = LatticeBox(extents)
+            box = LatticeBox(tuple(doc["extents"]))
             scalar_kind = doc.get("scalar_kind", "complex")
             data = np.zeros((NSLOTS,) + box.extents, dtype=_dtype_of(scalar_kind))
             # the floats of one slot: complex128 is itself interleaved (re, im),

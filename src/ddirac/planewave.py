@@ -51,8 +51,9 @@ class Momentum:
     p: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        # an infinite mass would pass on_shell(): inf <= tol * inf
+        if not (np.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.m}")
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         if len(self.p) != 4:
             raise ValueError("momentum needs four components")

@@ -16,6 +16,15 @@ from ddirac.equations import (
 from ddirac.lattice import LatticeBox, random_cochain
 from ddirac.multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
+#: The four residual routes, each with the random_cochain arguments of a
+#: valid input.
+ROUTES = [
+    (dk_residual_operator, {}),
+    (dk_residual_stencil, {}),
+    (hestenes_residual_operator, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
+    (hestenes_residual_stencil, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
+]
+
 
 def _rel_diff(a, b, scale):
     return (a.residual - b.residual).max_abs(1) / scale
@@ -62,6 +71,22 @@ def test_dk_rejects_nonpositive_mass(rng, box4):
         dk_residual_stencil(w, -1.0)
 
 
+@pytest.mark.parametrize("m", [np.inf, np.nan])
+@pytest.mark.parametrize("route, kwargs", ROUTES)
+def test_routes_reject_non_finite_mass(rng, box4, route, kwargs, m):
+    with pytest.raises(ValueError, match="finite and positive"):
+        route(random_cochain(box4, rng, **kwargs), m)
+
+
+@pytest.mark.parametrize("route, kwargs", ROUTES)
+def test_summary_carries_the_input_scale(rng, box4, route, kwargs):
+    w = random_cochain(box4, rng, **kwargs)
+    res = route(w, 1.3)
+    assert res.scale == w.max_abs()
+    assert res.rel == res.max_abs / res.scale
+    assert "scale" not in res.to_dict()
+
+
 def test_even_odd_split_partitions(rng, box4):
     w = random_cochain(box4, rng)
     ev, od = w.even_part(), w.odd_part()
@@ -85,12 +110,7 @@ def test_dk_stencil_matches_operator_with_unit_extent(rng, extents):
 
 
 @pytest.mark.parametrize("extents", [(1, 3, 3, 3), (3, 3, 3, 1)])
-@pytest.mark.parametrize("route, kwargs", [
-    (dk_residual_operator, {}),
-    (dk_residual_stencil, {}),
-    (hestenes_residual_operator, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
-    (hestenes_residual_stencil, {"scalar_kind": "real", "degrees": {0, 2, 4}}),
-])
+@pytest.mark.parametrize("route, kwargs", ROUTES)
 def test_empty_interior_gives_nan_summary(rng, extents, route, kwargs):
     """A unit extent leaves the depth-1 interior empty: a residual over no
     points is NaN, never a perfect 0.0."""

@@ -25,6 +25,21 @@ def test_box_validation():
     assert box.policy is BoundaryPolicy.INTERIOR
 
 
+@pytest.mark.parametrize("extents", [(2.7, 2, 2, 2), (2.0, 2, 2, 2), (True, 2, 2, 2),
+                                     (np.bool_(True), 2, 2, 2), ("2", 2, 2, 2),
+                                     (np.float64(3), 2, 2, 2)])
+def test_box_rejects_non_integer_extents(extents):
+    """int() would truncate 2.7 to 2, and True would count as 1."""
+    with pytest.raises(ValueError, match="extents must be integers"):
+        LatticeBox(extents)
+
+
+def test_box_accepts_numpy_integers():
+    box = LatticeBox(tuple(np.arange(2, 6)))
+    assert box.extents == (2, 3, 4, 5)
+    assert all(type(n) is int for n in box.extents)
+
+
 def test_box_interior_and_membership():
     box = LatticeBox((3, 3, 3, 3))
     assert box.interior_extents(1) == (2, 2, 2, 2)

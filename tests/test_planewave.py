@@ -53,6 +53,13 @@ def test_momentum_validation():
     assert not Momentum(1.0, (2.0, 0, 0, 0)).on_shell()
 
 
+@pytest.mark.parametrize("m", [np.inf, -np.inf, np.nan])
+def test_momentum_rejects_non_finite_mass(m):
+    """An infinite mass passed the shell test: inf <= 1e-9 * inf."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        Momentum(m, (1, 0, 0, 0))
+
+
 def test_large_momentum_is_on_shell():
     """Rounding in p0^2 grows with |p|; the shell test scales with it."""
     assert Momentum.on_shell_from_spatial(1.0, (1e4, 3e3, 0.1)).on_shell()
