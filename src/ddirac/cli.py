@@ -3,10 +3,9 @@
 Runs the property suites and plane-wave campaigns with seeded random inputs.
 Every verdict subcommand emits one `Report`: JSON, or CSV of its rows, on
 stdout, [PASS]/[FAIL] lines on stderr, and exit status 0 iff every row
-passed.  All randomness is driven by --seed, so identical configurations
-reproduce byte-identical reports up to the timestamp field.  Each option can
-also be set through DDIRAC_<COMMAND>_<OPTION>; such a variable that names no
-option of the command is a usage error.
+passed.  All randomness is driven by --seed, and only the command line
+configures a run, so identical command lines reproduce byte-identical reports
+up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -35,6 +33,7 @@ from .clifford import METRIC, clifford_mul, dirac_clifford, unit_form
 from .equations import (
     TINY,
     check_even_real,
+    check_mass,
     dk_residual_operator,
     dk_residual_stencil,
     hestenes_residual_operator,
@@ -52,7 +51,6 @@ from .planewave import (
 )
 
 SCHEMA_VERSION = 3
-CONTEXT_SETTINGS = {"auto_envvar_prefix": "DDIRAC"}
 #: Agreement of two routes to one quantity, and the defect of an identity
 #: that holds exactly, relative to the input.
 CROSS_TOL = 1e-13
@@ -84,10 +82,9 @@ def _worst(current: float, value: float) -> float:
 
 
 def _reject_if_set(param: str, message: str):
-    """Reject an option the user set, on the command line or through its
-    DDIRAC_* variable, where it would have no effect."""
+    """Reject an option the user set where it would have no effect."""
     source = click.get_current_context().get_parameter_source(param)
-    if source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
+    if source is ParameterSource.COMMANDLINE:
         raise click.UsageError(message)
 
 
@@ -126,11 +123,13 @@ def _parse_extents(_ctx, _param, value: str) -> tuple[int, int, int, int]:
 
 
 def _parse_mass(_ctx, _param, value: float) -> float:
-    """A mass must be finite and positive; ``click.FloatRange(min=0,
-    min_open=True)`` alone lets NaN and inf through."""
-    if not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"mass must be finite and positive, got {value}")
-    return float(value)
+    """``click.FloatRange(min=0, min_open=True)`` alone lets NaN and inf
+    through."""
+    try:
+        check_mass(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+    return value
 
 
 def _load_scan(path: str) -> list[Momentum]:
@@ -143,19 +142,21 @@ def _load_scan(path: str) -> list[Momentum]:
                 isinstance(e, dict) and "mass" in e and isinstance(e.get("p"), list)
                 for e in entries)):
             raise ValueError("expected a non-empty list of {mass, p} objects")
-        return [Momentum(_parse_mass(None, None, e["mass"]), tuple(e["p"]))
-                for e in entries]
-    except (ValueError, TypeError, click.BadParameter) as exc:
+        # to Python a JSON true is an int, and float() would parse "1.5"
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for e in entries for v in [e["mass"], *e["p"]]):
+            raise ValueError("every mass and momentum component must be a JSON number")
+        return [Momentum(float(e["mass"]), tuple(e["p"])) for e in entries]
+    except (ValueError, TypeError, OverflowError) as exc:
         raise click.BadParameter(f"{path}: {exc}", param_hint="'--scan'")
 
 
-#: The options that more than one command reads.  Click names each one's
-#: environment variable DDIRAC_<COMMAND>_<KEY>, after the flag.
+#: The options that more than one command reads.
 OPTIONS = {
     "extents": click.option("--extents", default="5,5,5,5", callback=_parse_extents,
                             show_default=True, help="Lattice extents N0,N1,N2,N3."),
-    "seed": click.option("--seed", default=0, show_default=True,
-                         help="Seed for all random inputs."),
+    "seed": click.option("--seed", default=0, type=click.IntRange(min=0),
+                         show_default=True, help="Seed for all random inputs."),
     "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
                         help="Write the report to this file."),
     "format": click.option("--format", type=click.Choice(["json", "csv"]),
@@ -165,7 +166,8 @@ OPTIONS = {
     "input": click.option("--input", type=click.Path(exists=True, dir_okay=False),
                           default=None,
                           help="Cochain JSON file; a random form if omitted."),
-    "trials": click.option("--trials", default=20, show_default=True),
+    "trials": click.option("--trials", default=20, type=click.IntRange(min=1),
+                           show_default=True),
 }
 
 
@@ -213,9 +215,6 @@ class Report:
         stdout, and the [PASS]/[FAIL] lines to stderr; then exit 0 iff every
         row passed."""
         doc = self.to_dict()
-        for r in doc["results"]:
-            status = "PASS" if r["passed"] else "FAIL"
-            click.echo(f"[{status}] {r['suite']}::{r['test']}", err=True)
         if fmt == "json":
             text = _dumps(doc)
         else:
@@ -227,27 +226,26 @@ class Report:
             writer.writerows(_finite_or_null(doc["results"]))
             text = buf.getvalue()
         if out:
-            with open(out, "w") as fh:
-                fh.write(text)
+            # first, so that an unwritable --out ends the run with no verdict
+            try:
+                with open(out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise click.BadParameter(f"{out}: {exc.strerror}", param_hint="'--out'")
+        for r in doc["results"]:
+            status = "PASS" if r["passed"] else "FAIL"
+            click.echo(f"[{status}] {r['suite']}::{r['test']}", err=True)
+        if out:
             click.echo(f"report written to {out}", err=True)
         else:
             click.echo(text, nl=False)
         sys.exit(0 if doc["summary"]["failed"] == 0 else 1)
 
 
-@click.group(context_settings=CONTEXT_SETTINGS)
+@click.group()
 @click.version_option(package_name="ddirac")
-@click.pass_context
-def main(ctx):
+def main():
     """Verification harness for the lattice Dirac equation models."""
-    # click ignores a variable that names no option, so a misspelt or
-    # removed one would otherwise leave the run silently unconfigured
-    name = ctx.invoked_subcommand
-    prefix = f"{ctx.auto_envvar_prefix}_{name.upper().replace('-', '_')}_"
-    known = {prefix + p.name.upper() for p in main.commands[name].params}
-    stray = sorted(k for k in os.environ if k.startswith(prefix) and k not in known)
-    if stray:
-        raise click.UsageError(f"{', '.join(stray)} names no option of {name}")
 
 
 @main.command("verify-calculus")

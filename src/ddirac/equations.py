@@ -69,7 +69,8 @@ DK_STENCIL = {
 }
 
 
-def _check_mass(m: float):
+def check_mass(m: float):
+    """The one rule for a mass, which `Momentum` and the CLI apply too."""
     if not (np.isfinite(m) and m > 0):
         raise ValueError(f"mass must be finite and positive, got {m}")
 
@@ -85,7 +86,7 @@ def _subtract_mass(out: np.ndarray, data: np.ndarray, m: float):
 
 def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
     """Residual of i*(d_c + codifferential)Omega = m*Omega."""
-    _check_mass(m)
+    check_mass(m)
     out = dirac_operator(omega).data.astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
@@ -94,7 +95,7 @@ def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
 
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     """Same residual evaluated from the 16 literal difference equations."""
-    _check_mass(m)
+    check_mass(m)
     out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
@@ -173,7 +174,7 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
     the composed form: each slot gets the d_c sum, plus the codifferential
     sum, then the e12 sign, plus the e0-signed m * omega; the whole array is
     negated once, since -(a + b) rounds exactly as -a - b."""
-    _check_mass(m)
+    check_mass(m)
     check_even_real(omega_ev)
     data = omega_ev.data
     out = np.zeros_like(data)
@@ -203,7 +204,7 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     sends its right-hand-side component, carrying that map's sign, so the
     stencil residual is slot-for-slot comparable with the operator form.
     """
-    _check_mass(m)
+    check_mass(m)
     check_even_real(omega_ev)
     out = apply_stencil(omega_ev.data, _HESTENES_E0_STENCIL)
     mass = np.empty(omega_ev.box.extents)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clifford import build_table, mul_basis_left, mul_basis_right
+from .equations import check_mass
 from .lattice import Cochain, LatticeBox
 from .multiindex import EVEN_SLOTS, NSLOTS, SLOT_OF
 
@@ -52,8 +53,7 @@ class Momentum:
 
     def __post_init__(self):
         # an infinite mass would pass on_shell(): inf <= tol * inf
-        if not (np.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"mass must be finite and positive, got {self.m}")
+        check_mass(self.m)
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         if len(self.p) != 4:
             raise ValueError("momentum needs four components")

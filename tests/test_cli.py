@@ -238,15 +238,13 @@ def test_planewave_scan_file(runner, tmp_path):
 @pytest.mark.parametrize("option, value", [("mass", "5"), ("p", "9,9,9"), ("p0", "3")])
 def test_momentum_options_rejected_with_scan(runner, tmp_path, option, value):
     """The --scan file fixes every momentum, so an option that would set one
-    is a usage error, on the command line or through its variable."""
+    is a usage error."""
     path = tmp_path / "scan.json"
     path.write_text(json.dumps([{"mass": 1.0, "p": [np.sqrt(1.25), 0.5, 0.0, 0.0]}]))
     args = ["planewave", "--extents", "3,3,3,3", "--scan", str(path)]
     result = runner.invoke(main, [*args, f"--{option}", value])
     assert result.exit_code == 2, result.output
     assert f"--{option} has no effect with --scan" in result.output
-    result = runner.invoke(main, args, env={f"DDIRAC_PLANEWAVE_{option.upper()}": value})
-    assert result.exit_code == 2, result.output
     # the file's momenta get rows of both kinds
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -422,14 +420,6 @@ def test_seed_reaches_the_commutation_checks(runner, monkeypatch):
             if r["suite"] == "commutation"} == checks(seed)
 
 
-def test_env_var_configures_option(runner):
-    result = runner.invoke(main, ["verify-clifford", "--trials", "1"],
-                           env={"DDIRAC_VERIFY_CLIFFORD_EXTENTS": "2,2,2,2"})
-    assert result.exit_code == 0, result.output
-    doc = _report(result)
-    assert doc["config"]["extents"] == [2, 2, 2, 2]
-
-
 def _nan_form(form):
     return form.like(np.full_like(form.data, np.nan))
 
@@ -509,9 +499,6 @@ def test_tol_rel_rejected_where_it_has_no_effect(runner, command):
                                   "--tol-rel", "1e-3"])
     assert result.exit_code == 2
     assert "--tol-rel" in result.output
-    env = {f"DDIRAC_{command.upper().replace('-', '_')}_TOL_REL": "1e-3"}
-    result = runner.invoke(main, [command, "--extents", "3,3,3,3"], env=env)
-    assert result.exit_code == 2
     assert runner.invoke(main, [command, "--extents", "3,3,3,3"]).exit_code == 0
 
 
@@ -520,9 +507,6 @@ def test_kind_rejected_since_planewave_checks_both(runner):
     result = runner.invoke(main, [*args, "--kind", "plus"])
     assert result.exit_code == 2
     assert "--kind" in result.output
-    result = runner.invoke(main, args, env={"DDIRAC_PLANEWAVE_KIND": "plus"})
-    assert result.exit_code == 2
-    assert "DDIRAC_PLANEWAVE_KIND" in result.output
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert {r["kind"] for r in _planewave_rows(_report(result))} == {"plus", "minus"}
@@ -537,10 +521,6 @@ def test_policy_rejected_where_it_has_no_effect(runner, command):
     result = runner.invoke(main, [*args, "--policy", "zeroextend"])
     assert result.exit_code == 2
     assert "--policy" in result.output
-    variable = f"DDIRAC_{command.upper().replace('-', '_')}_POLICY"
-    result = runner.invoke(main, args, env={variable: "zeroextend"})
-    assert result.exit_code == 2
-    assert variable in result.output
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert "policy" not in _report(result)["config"]
@@ -637,12 +617,9 @@ def test_seed_and_extents_rejected_with_input(runner, tmp_path, rng, command, op
     result = runner.invoke(main, [command, "--input", str(path), f"--{option}", value])
     assert result.exit_code == 2, result.output
     assert f"--{option}" in result.output
-    env = {f"DDIRAC_{command.upper().replace('-', '_')}_{option.upper()}": value}
-    result = runner.invoke(main, [command, "--input", str(path)], env=env)
-    assert result.exit_code == 2, result.output
     assert runner.invoke(main, [command, "--input", str(path)]).exit_code == 0
     # without --input both options are accepted
-    result = runner.invoke(main, [command, f"--{option}", value], env=env)
+    result = runner.invoke(main, [command, f"--{option}", value])
     assert result.exit_code == 0, result.output
 
 
@@ -655,6 +632,45 @@ def test_mass_not_finite_and_positive_is_usage_error(runner, command, mass):
     assert "--mass" in result.output
 
 
+@pytest.mark.parametrize("command, option, value", [
+    (command, "trials", value) for command in ("verify-calculus", "verify-clifford")
+    for value in ("0", "-3")
+] + [(command, "seed", "-1") for command in VERDICT_ARGS])
+def test_trials_and_seed_out_of_range_are_usage_errors(runner, command, option, value):
+    """No trials would pass rows computed from nothing, and numpy rejects a
+    negative seed."""
+    result = runner.invoke(main, [command, "--extents", "2,2,2,2", f"--{option}", value])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"'--{option}'" in result.output
+
+
+def test_unwritable_out_is_usage_error_naming_it(runner, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
+                                  "--trials", "1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert str(out) in result.output and "'--out'" in result.output
+    assert "[PASS]" not in result.stderr
+
+
+@pytest.mark.parametrize("command, variable, value", [
+    ("planewave", "DDIRAC_PLANEWAVE_SEED", "3"),
+    ("dk-check", "DDIRAC_DK_CHECK_FORMAT", "csv"),
+    ("planewave", "DDIRAC_PLANEWAVE_KIND", "plus"),
+])
+def test_environment_does_not_configure_a_run(runner, command, variable, value):
+    """Only the command line configures a run."""
+    args = [command, "--extents", "3,3,3,3"]
+    plain = runner.invoke(main, args)
+    with_env = runner.invoke(main, args, env={variable: value})
+    assert plain.exit_code == with_env.exit_code == 0, with_env.output
+    without_timestamp = re.compile(r'"timestamp": "[^"]*"')
+    assert without_timestamp.sub("", with_env.stdout) == \
+        without_timestamp.sub("", plain.stdout)
+
+
 BAD_SCANS = {
     "no_p": '[{"mass": 1.0}]',
     "no_mass": '[{"p": [1.5, 0.5, 0.0, 0.0]}]',
@@ -665,6 +681,10 @@ BAD_SCANS = {
     "entry_not_object": "[[1.0, 1.5, 0.5, 0.0, 0.0]]",
     "empty": "[]",
     "non_finite_p": '[{"mass": 1.0, "p": [NaN, 0.5, 0.0, 0.0]}]',
+    "bool_mass": '[{"mass": true, "p": [1.5, 0.5, 0.0, 0.0]}]',
+    "bool_p": '[{"mass": 1.0, "p": [true, 0, 0, 0]}]',
+    "string_p": '[{"mass": 1.0, "p": ["1.5", 0.5, 0.0, 0.0]}]',
+    "huge_int_p": '[{"mass": 1.0, "p": [1' + "0" * 400 + ', 0, 0, 0]}]',
 }
 
 
@@ -677,35 +697,3 @@ def test_bad_scan_file_is_usage_error_naming_it(runner, tmp_path, case):
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert str(path) in result.output and "--scan" in result.output
-
-
-def _even_form_file(tmp_path, rng):
-    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind="real",
-                       degrees={0, 2, 4})
-    path = tmp_path / "even.json"
-    w.save(path)
-    return str(path)
-
-
-@pytest.mark.parametrize("command, flag, old, args", [
-    ("verify-clifford", "format", "FMT", ["--extents", "2,2,2,2", "--trials", "1"]),
-    ("hestenes-check", "input", "INPUT_PATH", []),
-    ("planewave", "p", "SPATIAL", ["--extents", "2,2,2,2"]),
-])
-def test_env_var_names_follow_the_flags(runner, tmp_path, rng, command, flag, old,
-                                        args):
-    """DDIRAC_<COMMAND>_<FLAG> does what the flag does; the name click took
-    from the old Python parameter names no option and is a usage error."""
-    value = {"format": "csv", "input": _even_form_file(tmp_path, rng),
-             "p": "0.0,0.4,0.0"}[flag]
-    prefix = f"DDIRAC_{command.upper().replace('-', '_')}_"
-    by_flag = runner.invoke(main, [command, *args, f"--{flag}", value])
-    by_env = runner.invoke(main, [command, *args], env={prefix + flag.upper(): value})
-    assert by_flag.exit_code == by_env.exit_code == 0, by_env.output
-    without_timestamp = re.compile(r'"timestamp": "[^"]*"')
-    assert without_timestamp.sub("", by_env.stdout) == \
-        without_timestamp.sub("", by_flag.stdout)
-    assert by_env.stdout != runner.invoke(main, [command, *args]).stdout
-    result = runner.invoke(main, [command, *args], env={prefix + old: value})
-    assert result.exit_code == 2, result.output
-    assert prefix + old in result.output
