@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -132,6 +133,14 @@ def _parse_mass(_ctx, _param, value: float) -> float:
     return value
 
 
+def _parse_out(_ctx, _param, value: str | None) -> str | None:
+    """An --out that cannot be written fails before the run, not after it."""
+    folder = os.path.dirname(value or "") or "."
+    if value and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise click.BadParameter(f"{value}: {folder} is not a writable directory")
+    return value
+
+
 def _load_scan(path: str) -> list[Momentum]:
     """The --scan momenta.  As with --input, every problem with the file is
     a usage error that names it."""
@@ -158,7 +167,7 @@ OPTIONS = {
     "seed": click.option("--seed", default=0, type=click.IntRange(min=0),
                          show_default=True, help="Seed for all random inputs."),
     "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
-                        help="Write the report to this file."),
+                        callback=_parse_out, help="Write the report to this file."),
     "format": click.option("--format", type=click.Choice(["json", "csv"]),
                            default="json", show_default=True),
     "mass": click.option("--mass", default=1.0, callback=_parse_mass,
@@ -307,14 +316,12 @@ def verify_clifford(extents, seed, out, format, trials):
     report.add("clifford", "gamma_matrix_oracle", gamma["all_match"],
                entries=gamma["entries_checked"])
 
-    # e_mu e_nu + e_nu e_mu = 2 g_{mu nu} x, checked on the constant unit forms
-    anti_ok = True
-    for a in range(4):
-        for b in range(4):
-            lhs = clifford_mul(unit_form((a,), box), unit_form((b,), box)) + \
-                clifford_mul(unit_form((b,), box), unit_form((a,), box))
-            rhs = (2 * METRIC[a] if a == b else 0) * unit_form((), box)
-            anti_ok = anti_ok and (lhs - rhs).max_abs() == 0.0
+    # e_mu e_nu + e_nu e_mu = 2 g_{mu nu} x holds pointwise, so one point shows it
+    point = LatticeBox((1, 1, 1, 1))
+    e = [unit_form((mu,), point) for mu in range(4)]
+    anti_ok = all((clifford_mul(e[a], e[b]) + clifford_mul(e[b], e[a])
+                   - (2 * METRIC[a] if a == b else 0) * unit_form((), point)).max_abs() == 0.0
+                  for a in range(4) for b in range(4))
     report.add("clifford", "anticommutation", anti_ok)
 
     w = random_cochain(box, rng)

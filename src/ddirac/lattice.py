@@ -50,9 +50,9 @@ from .multiindex import (
 #: Maximum imaginary part tolerated in a real-kind cochain.
 REAL_IMAG_TOL = 1e-14
 
-#: Version 2 writes a real-kind slot as N floats, where version 1 wrote N
-#: (re, 0.0) pairs; version-1 files are rejected.
-SCHEMA_VERSION = 2
+#: Version 3 writes a slot as the hex digits of its float64 bytes, where
+#: version 2 wrote decimal floats; files of earlier versions are rejected.
+SCHEMA_VERSION = 3
 
 #: glibc serves an allocation of at least M_MMAP_THRESHOLD bytes with a fresh
 #: mmap and unmaps it on free, so each new cochain (2.65 MB at 12^4) is
@@ -255,35 +255,23 @@ class Cochain:
 
     # -- serialization ---------------------------------------------------------
 
-    def _json_doc(self) -> dict:
-        """`to_json_dict` with each component a float64 array, not a list."""
-        components: dict[str, dict[str, np.ndarray]] = {}
+    def to_json_dict(self) -> dict:
+        """The file format: each nonzero slot as one string, the hex digits of
+        its little-endian float64 bytes in row-major order, N floats for the
+        real kind and N interleaved (re, im) pairs for the complex kind.
+        Non-finite data raises ValueError, as on load."""
+        components: dict[str, dict[str, str]] = {}
         for slot, mi in enumerate(ALL_INDEXES):
             arr = self.data[slot]
             if not np.any(arr):
                 continue
             if not np.isfinite(arr).all():
                 raise ValueError(f"component {as_string(mi)!r}: non-finite values")
-            # a view of the slot: complex128 is itself interleaved (re, im)
             components.setdefault(str(len(mi)), {})[as_string(mi)] = \
-                arr.reshape(-1).view(np.float64)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "extents": list(self.box.extents),
-            "scalar_kind": self.scalar_kind,
-            "tilde": self.tilde,
-            "components": components,
-        }
-
-    def to_json_dict(self) -> dict:
-        """The file format: each nonzero slot as a flat list of floats in
-        row-major order, N of them for the real kind and N interleaved
-        (re, im) pairs for the complex kind.  Non-finite data raises
-        ValueError, as on load."""
-        doc = self._json_doc()
-        doc["components"] = {degree: {mi: flat.tolist() for mi, flat in by_mi.items()}
-                             for degree, by_mi in doc["components"].items()}
-        return doc
+                arr.view(np.float64).astype("<f8", copy=False).tobytes().hex()
+        return {"schema_version": SCHEMA_VERSION, "extents": list(self.box.extents),
+                "scalar_kind": self.scalar_kind, "tilde": self.tilde,
+                "components": components}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Cochain":
@@ -299,17 +287,25 @@ class Cochain:
             # the floats of one slot: complex128 is itself interleaved (re, im),
             # and re + 1j*im would turn a -0.0 into 0.0
             slots = data.reshape(NSLOTS, -1).view(np.float64)
+            nfloats = slots.shape[1]
             for degree, by_mi in doc.get("components", {}).items():
-                for mi_string, flat in by_mi.items():
+                for mi_string, digits in by_mi.items():
                     mi = from_string(mi_string)
                     if degree != str(len(mi)):
                         raise ValueError(f"component {mi_string!r} has degree "
                                          f"{len(mi)}, filed under {degree!r}")
-                    flat = np.asarray(flat, dtype=np.float64)
-                    if flat.shape != slots.shape[1:]:
-                        raise ValueError(
-                            f"component {mi_string!r}: expected a flat list of "
-                            f"{slots.shape[1]} floats, got shape {flat.shape}")
+                    if not isinstance(digits, str):
+                        raise TypeError(f"component {mi_string!r}: expected a string "
+                                        f"of hex digits, got {type(digits).__name__!r}")
+                    try:
+                        raw = bytes.fromhex(digits)
+                    except ValueError as exc:
+                        raise ValueError(f"component {mi_string!r}: {exc}") from None
+                    # fromhex skips whitespace, so count the digits and the bytes
+                    if not len(digits) == 2 * len(raw) == 16 * nfloats:
+                        raise ValueError(f"component {mi_string!r}: expected {nfloats} "
+                                         f"floats as {16 * nfloats} hex digits")
+                    flat = np.frombuffer(raw, "<f8")
                     if not np.isfinite(flat).all():
                         raise ValueError(f"component {mi_string!r}: non-finite values")
                     slots[SLOT_OF[mi]] = flat
@@ -327,10 +323,7 @@ class Cochain:
         # it with the package adds ~5 ms to start-up and ~0.7 MB of memory
         import orjson
 
-        # orjson writes a float64 array exactly as the list of its floats,
-        # without making those Python floats
-        blob = memoryview(orjson.dumps(self._json_doc(),
-                                       option=orjson.OPT_SERIALIZE_NUMPY))
+        blob = memoryview(orjson.dumps(self.to_json_dict()))
         size = len(blob)
         # An existing file is written over, then cut to length.  Truncating it
         # on open would make ext4 start writing the file to disk as it closes

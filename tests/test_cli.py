@@ -552,11 +552,11 @@ def test_option_surface(runner):
 
 #: What each `_bad_input` case does wrong, as the usage error says it.
 BAD_INPUT_REASONS = {
-    "float_count": "expected a flat list of 16 floats, got shape (14,)",
-    "schema_version": "schema_version must be 2, got 1",
-    "schema_version_3": "schema_version must be 2, got 3",
+    "float_count": "component '': expected 16 floats as 256 hex digits",
+    "schema_version": "schema_version must be 3, got 2",
+    "schema_version_3": "schema_version must be 3, got 4",
     "no_extents": "malformed cochain document: KeyError('extents')",
-    "non_finite": "unexpected character",
+    "non_finite": "component '': non-finite values",
     "complex_kind": "Hestenes input must be a real-kind cochain",
     "odd_degree": "Hestenes input must have even-degree components only",
     "unit_extent": "every extent must be at least 2, got [2, 2, 1, 2]",
@@ -568,23 +568,24 @@ def _bad_input(tmp_path, rng, case):
     kind = "complex" if case == "complex_kind" else "real"
     box = LatticeBox((2, 2, 1, 2) if case == "unit_extent" else (2, 2, 2, 2))
     doc = random_cochain(box, rng, scalar_kind=kind, degrees={0, 2}).to_json_dict()
-    flat = doc["components"]["0"][""]
+    digits = doc["components"]["0"][""]
     if case == "float_count":
-        del flat[-2:]
+        doc["components"]["0"][""] = digits[:-32]  # two floats short
     elif case == "schema_version":
-        # a version-1 file: a real-kind slot was N (re, 0.0) pairs
-        doc["schema_version"] = 1
+        # a version-2 file: a slot was a list of decimal floats
+        doc["schema_version"] = 2
         for by_mi in doc["components"].values():
             for mi, values in by_mi.items():
-                by_mi[mi] = [v for x in values for v in (x, 0.0)]
+                by_mi[mi] = np.frombuffer(bytes.fromhex(values), "<f8").tolist()
     elif case == "schema_version_3":
-        doc["schema_version"] = 3
+        doc["schema_version"] = 4  # a version this reader does not know
     elif case == "no_extents":
         del doc["extents"]
     elif case == "non_finite":
-        flat[0] = float("nan")  # json.dumps writes a bare NaN token
+        # the first float's bytes are those of a NaN
+        doc["components"]["0"][""] = "000000000000f87f" + digits[16:]
     elif case == "odd_degree":
-        doc["components"]["1"] = {"0": [1.0] * 16}
+        doc["components"]["1"] = {"0": "000000000000f03f" * 16}  # 1.0 at every point
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
     return path
@@ -645,12 +646,49 @@ def test_trials_and_seed_out_of_range_are_usage_errors(runner, command, option, 
     assert f"'--{option}'" in result.output
 
 
-def test_unwritable_out_is_usage_error_naming_it(runner, tmp_path):
-    out = tmp_path / "missing" / "report.json"
+def _count_random_cochain(monkeypatch, before=None):
+    """Count the CLI's random forms; call `before` ahead of each."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if before:
+            before()
+        return random_cochain(*args, **kwargs)
+
+    monkeypatch.setattr(ddirac.cli, "random_cochain", counted)
+    return calls
+
+
+def test_unwritable_out_is_usage_error_naming_it(runner, tmp_path, monkeypatch):
+    """An --out that cannot be written fails when the options are parsed,
+    before any check runs: in a missing directory, or below a file."""
+    calls = _count_random_cochain(monkeypatch)
+    (tmp_path / "file").write_text("not a directory")
+    for parent in ("missing", "file"):
+        out = tmp_path / parent / "report.json"
+        result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
+                                      "--trials", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert str(out) in result.output and "'--out'" in result.output
+        assert "[PASS]" not in result.stderr
+    assert calls == []
+
+
+def test_out_that_goes_away_during_the_run_is_usage_error(runner, tmp_path,
+                                                          monkeypatch):
+    """A directory removed after the options were parsed still ends the run
+    with a usage error naming --out, and with no verdict."""
+    folder = tmp_path / "reports"
+    folder.mkdir()
+    out = folder / "report.json"
+    calls = _count_random_cochain(monkeypatch, before=lambda: folder.exists()
+                                  and folder.rmdir())
     result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
                                   "--trials", "1", "--out", str(out)])
+    assert calls and not folder.exists()
     assert result.exit_code == 2, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
     assert str(out) in result.output and "'--out'" in result.output
     assert "[PASS]" not in result.stderr
 
