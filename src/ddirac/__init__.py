@@ -9,7 +9,6 @@ from .calculus import (
     dirac_operator,
     green_defect,
     inner_product,
-    laplacian,
     star,
 )
 from .chains import Chain, basis_chain, boundary, chain_star, pair
@@ -74,7 +73,6 @@ __all__ = [
     "hestenes_residual_operator",
     "hestenes_residual_stencil",
     "inner_product",
-    "laplacian",
     "mul_basis_left",
     "mul_basis_right",
     "pair",

@@ -202,8 +202,3 @@ def green_defect(phi: Cochain, omega: Cochain) -> complex:
     """(d_c phi, omega) - (phi, codifferential omega); the discrete Green
     formula says this equals the chain-level boundary term."""
     return inner_product(d_c(phi), omega) - inner_product(phi, codifferential(omega))
-
-
-def laplacian(form: Cochain) -> Cochain:
-    """Degree-preserving second-order operator -(d_c delta + delta d_c)."""
-    return -1 * (d_c(codifferential(form)) + codifferential(d_c(form)))

@@ -63,8 +63,8 @@ class Chain:
         return f"Chain({body or '0'})"
 
 
-def basis_chain(k, dirs, coeff: int = 1, tilde: bool = False) -> Chain:
-    return Chain({(tuple(k), validate(dirs)): coeff}, tilde)
+def basis_chain(k, dirs, tilde: bool = False) -> Chain:
+    return Chain({(tuple(k), validate(dirs)): 1}, tilde)
 
 
 def shift(k, mu):

@@ -135,6 +135,8 @@ def _parse_mass(_ctx, _param, value: float) -> float:
 
 def _parse_out(_ctx, _param, value: str | None) -> str | None:
     """An --out that cannot be written fails before the run, not after it."""
+    if value == "":
+        raise click.BadParameter("an empty path names no file")
     folder = os.path.dirname(value or "") or "."
     if value and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise click.BadParameter(f"{value}: {folder} is not a writable directory")

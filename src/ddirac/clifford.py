@@ -69,11 +69,11 @@ def clifford_mul(a: Cochain, b: Cochain) -> Cochain:
     return Cochain(a.box, out, kind, a.tilde)
 
 
-def unit_form(dirs, box: LatticeBox, tilde: bool = False) -> Cochain:
+def unit_form(dirs, box: LatticeBox) -> Cochain:
     """Constant form with the given component identically 1 (x, e_mu, ...)."""
     data = np.zeros((NSLOTS,) + box.extents)
     data[SLOT_OF[validate(dirs)]] = 1.0
-    return Cochain(box, data, "real", tilde)
+    return Cochain(box, data, "real")
 
 
 @lru_cache(maxsize=None)

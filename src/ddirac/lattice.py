@@ -38,9 +38,7 @@ import numpy as np
 
 from .multiindex import (
     ALL_INDEXES,
-    EVEN_SLOTS,
     NSLOTS,
-    ODD_SLOTS,
     SLOT_OF,
     as_string,
     from_string,
@@ -177,13 +175,12 @@ class Cochain:
         return cls(box, None, scalar_kind, tilde)
 
     @classmethod
-    def from_components(cls, box, components: dict, scalar_kind="complex",
-                        tilde=False) -> "Cochain":
+    def from_components(cls, box, components: dict, scalar_kind="complex") -> "Cochain":
         """Build from a {multi-index: array-or-scalar} mapping."""
         out = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
         for mi, values in components.items():
             out[SLOT_OF[validate(mi)]] = values
-        return cls(box, out, scalar_kind, tilde)
+        return cls(box, out, scalar_kind)
 
     def like(self, data, **overrides) -> "Cochain":
         kw = dict(scalar_kind=self.scalar_kind, tilde=self.tilde)
@@ -194,23 +191,6 @@ class Cochain:
 
     def component(self, mi) -> np.ndarray:
         return self.data[SLOT_OF[validate(mi)]]
-
-    def degrees_present(self, tol: float = 0.0) -> set[int]:
-        return {
-            len(mi)
-            for slot, mi in enumerate(ALL_INDEXES)
-            if np.abs(self.data[slot]).max() > tol
-        }
-
-    def even_part(self) -> "Cochain":
-        out = np.zeros_like(self.data)
-        out[list(EVEN_SLOTS)] = self.data[list(EVEN_SLOTS)]
-        return self.like(out)
-
-    def odd_part(self) -> "Cochain":
-        out = np.zeros_like(self.data)
-        out[list(ODD_SLOTS)] = self.data[list(ODD_SLOTS)]
-        return self.like(out)
 
     # -- arithmetic ------------------------------------------------------------
 

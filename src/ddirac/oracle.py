@@ -41,10 +41,6 @@ def flatten(cochain: Cochain) -> np.ndarray:
     return cochain.data.reshape(-1)
 
 
-def unflatten(box: LatticeBox, vec, **kwargs) -> Cochain:
-    return Cochain(box, np.asarray(vec).reshape((NSLOTS,) + box.extents), **kwargs)
-
-
 def assemble_dc(box: LatticeBox) -> np.ndarray:
     """Dense coboundary matrix, entries from the duality with the chain
     boundary: row (J, k') holds the coefficients of boundary(basis chain)."""

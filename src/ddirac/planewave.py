@@ -263,21 +263,9 @@ def solution_basis(kind: str, momentum: Momentum) -> list[EvenAmplitude]:
     return [_complete(kind, momentum, unit, from_plus) for unit in np.eye(4)]
 
 
-def basis_rank(amplitudes, tol: float = 1e-9) -> int:
+def basis_rank(amplitudes) -> int:
     stack = np.stack([a.as_vector() for a in amplitudes])
-    return int(np.linalg.matrix_rank(stack, tol=tol))
-
-
-def coupling_system_matrix(momentum: Momentum) -> np.ndarray:
-    """The 4x4 linear system (m - p0) A_minus - B A_plus = 0 written on the
-    8 coefficients: rows are the anticommuting components, columns are
-    (plus-half, minus-half) coefficients.  Derived from the table, not from
-    any printed display."""
-    m_mfp, _ = _coupling_matrices(momentum.p[1:])
-    out = np.zeros((4, 8))
-    out[:, :4] = -m_mfp
-    out[:, 4:] = (momentum.m - momentum.p[0]) * np.eye(4)
-    return out
+    return int(np.linalg.matrix_rank(stack, tol=1e-9))
 
 
 def commutation_checks(rng=None) -> dict:

@@ -662,11 +662,11 @@ def _count_random_cochain(monkeypatch, before=None):
 
 def test_unwritable_out_is_usage_error_naming_it(runner, tmp_path, monkeypatch):
     """An --out that cannot be written fails when the options are parsed,
-    before any check runs: in a missing directory, or below a file."""
+    before any check runs: in a missing directory, below a file, or empty."""
     calls = _count_random_cochain(monkeypatch)
     (tmp_path / "file").write_text("not a directory")
-    for parent in ("missing", "file"):
-        out = tmp_path / parent / "report.json"
+    for out in (tmp_path / "missing" / "report.json", tmp_path / "file" / "report.json",
+                ""):
         result = runner.invoke(main, ["verify-clifford", "--extents", "2,2,2,2",
                                       "--trials", "1", "--out", str(out)])
         assert result.exit_code == 2, result.output

@@ -87,14 +87,6 @@ def test_summary_carries_the_input_scale(rng, box4, route, kwargs):
     assert "scale" not in res.to_dict()
 
 
-def test_even_odd_split_partitions(rng, box4):
-    w = random_cochain(box4, rng)
-    ev, od = w.even_part(), w.odd_part()
-    assert (ev + od - w).max_abs() == 0.0
-    assert np.abs(ev.data[list(ODD_SLOTS)]).max() == 0.0
-    assert np.abs(od.data[list(EVEN_SLOTS)]).max() == 0.0
-
-
 def test_hestenes_stencil_covers_even_components():
     assert {SLOT_OF[mi] for mi in HESTENES_STENCIL} == set(EVEN_SLOTS)
     assert all(len(terms) == 4 for terms in HESTENES_STENCIL.values())

@@ -103,19 +103,6 @@ def test_mismatched_operands_raise(rng):
         a + random_cochain(a.box, rng, tilde=True)
 
 
-def test_parity_parts_partition(rng):
-    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng)
-    assert (w.even_part() + w.odd_part() - w).max_abs() == 0.0
-    assert w.even_part().degrees_present() == {0, 2, 4}
-
-
-def test_degrees_present(rng):
-    box = LatticeBox((2, 2, 2, 2))
-    assert Cochain.zeros(box).degrees_present() == set()
-    w = random_cochain(box, rng, degrees={1, 3})
-    assert w.degrees_present() == {1, 3}
-
-
 def test_from_components_broadcasts_scalars():
     box = LatticeBox((2, 2, 2, 2))
     w = Cochain.from_components(box, {(1, 2): 3.0, (): -1.0}, scalar_kind="real")

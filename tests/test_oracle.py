@@ -9,12 +9,6 @@ from ddirac.lattice import BoundaryPolicy, Cochain, LatticeBox, random_cochain
 BOX3 = LatticeBox((3, 3, 3, 3), BoundaryPolicy.ZERO_EXTEND)
 
 
-def test_flatten_round_trip(rng):
-    w = random_cochain(BOX3, rng)
-    back = oracle.unflatten(BOX3, oracle.flatten(w))
-    assert (back - w).max_abs() == 0.0
-
-
 def test_flat_index_matches_layout(rng):
     w = random_cochain(BOX3, rng)
     vec = oracle.flatten(w)
