@@ -12,6 +12,16 @@ from .lattice import BoundaryPolicy, Cochain, LatticeBox
 from .multiindex import levi_civita, complement, validate
 
 
+def add_term(terms: dict, key, coeff):
+    """Add `coeff` to the term `key` of a formal sum, dropping the term if it
+    cancels; a key added again after cancelling goes to the end."""
+    new = terms.get(key, 0) + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
 class Chain:
     """Formal sum of basis cells, stored as {(point, dirs): coefficient}."""
 
@@ -26,36 +36,7 @@ class Chain:
 
     def _add(self, key, coeff):
         k, dirs = key
-        key = (tuple(k), validate(dirs))
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.tilde != other.tilde:
-            raise ValueError("tilde flag mismatch")
-        out = Chain(self.terms, self.tilde)
-        for key, coeff in other.terms.items():
-            out._add(key, coeff)
-        return out
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (other * -1)
-
-    def __mul__(self, scalar: int) -> "Chain":
-        return Chain({key: coeff * scalar for key, coeff in self.terms.items()},
-                     self.tilde)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.tilde == other.tilde
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        add_term(self.terms, (tuple(k), validate(dirs)), coeff)
 
     def __repr__(self):
         prefix = "~" if self.tilde else ""

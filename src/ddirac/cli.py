@@ -57,6 +57,10 @@ SCHEMA_VERSION = 3
 CROSS_TOL = 1e-13
 #: A plane-wave solution's residual on either route, relative to the wave.
 SOLUTION_TOL = 1e-10
+#: dirac_clifford vs dirac_operator on the depth-1 interior, relative to the input.
+OPERATOR_EQUIV_TOL = 1e-12
+#: The Green formula's defect vs the chain-level boundary term, absolute.
+GREEN_TOL = 1e-12
 
 
 def _finite_or_null(value):
@@ -299,7 +303,7 @@ def verify_calculus(extents, seed, out, format, trials):
         om = random_cochain(gbox, rng)
         worst_green = _worst(worst_green, abs(
             green_defect(phi, om) - oracle.green_boundary_term(phi, om)))
-    report.add("calculus", "green_formula_vs_chain_oracle", worst_green <= 1e-12,
+    report.add("calculus", "green_formula_vs_chain_oracle", worst_green <= GREEN_TOL,
                max_abs=worst_green)
 
     report.emit(format, out)
@@ -337,7 +341,7 @@ def verify_clifford(extents, seed, out, format, trials):
         w = random_cochain(box, rng)
         diff = (dirac_clifford(w) - dirac_operator(w)).max_abs(1)
         worst = _worst(worst, diff / max(w.max_abs(), TINY))
-    report.add("clifford", "first_order_operator_equivalence", worst <= 1e-12,
+    report.add("clifford", "first_order_operator_equivalence", worst <= OPERATOR_EQUIV_TOL,
                rel=worst)
 
     report.emit(format, out)

@@ -65,8 +65,7 @@ def clifford_mul(a: Cochain, b: Cochain) -> Cochain:
     out = np.zeros(a.data.shape, dtype=np.result_type(a.data, b.data))
     for (mi_a, mi_b), (sign, res) in build_table().entries.items():
         out[SLOT_OF[res]] += sign * a.data[SLOT_OF[mi_a]] * b.data[SLOT_OF[mi_b]]
-    kind = "real" if a.scalar_kind == b.scalar_kind == "real" else "complex"
-    return Cochain(a.box, out, kind, a.tilde)
+    return a.like(out)
 
 
 def unit_form(dirs, box: LatticeBox) -> Cochain:

@@ -90,7 +90,7 @@ def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
     out = dirac_operator(omega).data.astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out, scalar_kind="complex"), omega)
+    return _summarize(omega.like(out), omega)
 
 
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
@@ -99,7 +99,7 @@ def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
     out *= 1j
     _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out, scalar_kind="complex"), omega)
+    return _summarize(omega.like(out), omega)
 
 
 # --- Hestenes equation: -(D Omega_ev) e1 e2 = m Omega_ev e0 ------------------

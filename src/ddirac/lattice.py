@@ -2,14 +2,16 @@
 
 A cochain stores all 16 component fields (one per multi-index slot) as a
 single array of shape (16, N0, N1, N2, N3), structure-of-arrays over the
-lattice: float64 for real-kind cochains, complex128 for complex-kind ones.
-Components a form does not use are simply zero, so homogeneous and
-inhomogeneous forms share one representation.
+lattice: float64 for real-kind cochains, complex128 for complex-kind ones;
+`Cochain.scalar_kind` reads the kind off that dtype.  Components a form does
+not use are simply zero, so homogeneous and inhomogeneous forms share one
+representation.
 
 A real-kind cochain is checked for imaginary parts only where complex data
 enters it (``from_components``, a caller's array); arithmetic on real-kind
 cochains stays float64 and is never re-scanned.  Cochain files hold a real-kind
-cochain's floats only, so loading one never builds complex data.
+cochain's floats only, so loading one never builds complex data.  Loading
+requires all five keys that `Cochain.save` writes.
 
 One boundary rule holds everywhere: out-of-box reads are zero, which treats
 the stored field as a compactly supported form on the infinite lattice, so
@@ -124,6 +126,8 @@ class LatticeBox:
 
     def interior_extents(self, depth: int = 1) -> tuple[int, ...]:
         """Extents of the region where `depth` nested forward shifts stay inside."""
+        if depth < 0:
+            raise ValueError(f"depth must be at least 0, got {depth}")
         return tuple(max(n - depth, 0) for n in self.extents)
 
     def contains(self, k) -> bool:
@@ -132,6 +136,8 @@ class LatticeBox:
 
 def interior_slices(depth: int) -> tuple[slice, ...]:
     """Slices selecting the depth-d interior of a (16, N0..N3) data array."""
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     return (slice(None),) + tuple(slice(0, -depth) if depth else slice(None) for _ in range(4))
 
 
@@ -144,7 +150,7 @@ def _dtype_of(scalar_kind) -> type:
 class Cochain:
     """Graded component field over a lattice box (immutable by convention)."""
 
-    __slots__ = ("box", "data", "scalar_kind", "tilde")
+    __slots__ = ("box", "data", "tilde")
 
     def __init__(self, box: LatticeBox, data=None, scalar_kind: str = "complex",
                  tilde: bool = False):
@@ -165,14 +171,17 @@ class Cochain:
             data = np.ascontiguousarray(data, dtype=dtype)
         self.box = box
         self.data = data
-        self.scalar_kind = scalar_kind
         self.tilde = bool(tilde)
+
+    @property
+    def scalar_kind(self) -> str:
+        return "complex" if self.data.dtype == np.complex128 else "real"
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zeros(cls, box, scalar_kind="complex", tilde=False) -> "Cochain":
-        return cls(box, None, scalar_kind, tilde)
+    def zeros(cls, box, scalar_kind="complex") -> "Cochain":
+        return cls(box, None, scalar_kind)
 
     @classmethod
     def from_components(cls, box, components: dict, scalar_kind="complex") -> "Cochain":
@@ -182,10 +191,10 @@ class Cochain:
             out[SLOT_OF[validate(mi)]] = values
         return cls(box, out, scalar_kind)
 
-    def like(self, data, **overrides) -> "Cochain":
-        kw = dict(scalar_kind=self.scalar_kind, tilde=self.tilde)
-        kw.update(overrides)
-        return Cochain(self.box, data, **kw)
+    def like(self, data, tilde=None) -> "Cochain":
+        """A cochain on this box holding `data`, of the kind of its dtype."""
+        kind = "complex" if np.iscomplexobj(data) else "real"
+        return Cochain(self.box, data, kind, self.tilde if tilde is None else tilde)
 
     # -- component access ------------------------------------------------------
 
@@ -202,13 +211,11 @@ class Cochain:
 
     def __add__(self, other):
         self._check_compatible(other)
-        kind = "real" if self.scalar_kind == other.scalar_kind == "real" else "complex"
-        return Cochain(self.box, self.data + other.data, kind, self.tilde)
+        return self.like(self.data + other.data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        kind = "real" if self.scalar_kind == other.scalar_kind == "real" else "complex"
-        return Cochain(self.box, self.data - other.data, kind, self.tilde)
+        return self.like(self.data - other.data)
 
     def __neg__(self):
         return self.like(-self.data)
@@ -217,7 +224,7 @@ class Cochain:
         c = complex(scalar)
         if self.scalar_kind == "real" and c.imag == 0:
             return self.like(self.data * c.real)
-        return Cochain(self.box, self.data * c, "complex", self.tilde)
+        return self.like(self.data * c)
 
     __rmul__ = __mul__
 
@@ -262,13 +269,13 @@ class Cochain:
                 raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
                                  f"got {doc.get('schema_version')!r}")
             box = LatticeBox(tuple(doc["extents"]))
-            scalar_kind = doc.get("scalar_kind", "complex")
+            scalar_kind = doc["scalar_kind"]
             data = np.zeros((NSLOTS,) + box.extents, dtype=_dtype_of(scalar_kind))
             # the floats of one slot: complex128 is itself interleaved (re, im),
             # and re + 1j*im would turn a -0.0 into 0.0
             slots = data.reshape(NSLOTS, -1).view(np.float64)
             nfloats = slots.shape[1]
-            for degree, by_mi in doc.get("components", {}).items():
+            for degree, by_mi in doc["components"].items():
                 for mi_string, digits in by_mi.items():
                     mi = from_string(mi_string)
                     if degree != str(len(mi)):
@@ -289,7 +296,7 @@ class Cochain:
                     if not np.isfinite(flat).all():
                         raise ValueError(f"component {mi_string!r}: non-finite values")
                     slots[SLOT_OF[mi]] = flat
-            tilde = doc.get("tilde", False)
+            tilde = doc["tilde"]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed cochain document: {exc!r}") from exc
         if not isinstance(tilde, bool):
@@ -334,10 +341,11 @@ class Cochain:
             return cls.from_json_dict(orjson.loads(fh.read()))
 
 
-def random_cochain(box, rng, scalar_kind="complex", degrees=None,
-                   tilde=False) -> Cochain:
+def random_cochain(box, rng, scalar_kind="complex", degrees=None) -> Cochain:
     """Seeded random form with components uniform in [-1, 1] (per part)."""
-    out = Cochain.zeros(box, scalar_kind, tilde)
+    if degrees is not None and not set(degrees) <= {0, 1, 2, 3, 4}:
+        raise ValueError(f"degrees must be integers 0..4, got {set(degrees)}")
+    out = Cochain.zeros(box, scalar_kind)
     for slot, mi in enumerate(ALL_INDEXES):
         if degrees is not None and len(mi) not in degrees:
             continue

@@ -5,8 +5,11 @@ row of ``ddirac verify-calculus`` and the benchmark's `dk-random` workload.
 
 Everything here is assembled from first principles -- dense matrices built by
 exhaustive chain enumeration, a gamma-matrix model of the Clifford table, and
-an explicit chain-level boundary term for the Green formula.  No code is
-shared with the fast paths beyond the type layer.
+an explicit chain-level boundary term for the Green formula.  Beyond the
+type layer, two pieces are shared with the fast paths: `green_boundary_term`
+applies `calculus.star`, so a fault in the star reaches both sides of the
+Green comparison, and `assemble_left_mult` reads the product table, which
+`gamma_model_check` checks against the gamma matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import basis_chain, boundary, chain_star
+from .chains import add_term, basis_chain, boundary, chain_star
 from .clifford import build_table
 from .lattice import Cochain, LatticeBox
 from .multiindex import ALL_INDEXES, NSLOTS, SLOT_OF, levi_civita
@@ -174,53 +177,38 @@ def gamma_product(a: Cochain, b: Cochain) -> Cochain:
     mat_b = np.einsum("sij,sn->nij", basis, b.data.reshape(NSLOTS, -1))
     prod = (mat_a @ mat_b).reshape(-1, 16).T  # (16 matrix entries, points)
     coeffs = np.linalg.solve(basis.reshape(NSLOTS, 16).T, prod)
-    return Cochain(a.box, coeffs.reshape(a.data.shape), "complex", a.tilde)
+    return a.like(coeffs.reshape(a.data.shape))
 
 
 # --- chain-level Green boundary term ------------------------------------------
 
-class ProductChain:
-    """Formal sum in the tensor product of the complex with its double:
-    {((k, dirs), (k~, dirs~)): coefficient}."""
-
-    def __init__(self):
-        self.terms: dict[tuple, int] = {}
-
-    def add(self, left, right, coeff):
-        key = (left, right)
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-
-def _volume_chain(box: LatticeBox, degree: int) -> ProductChain:
-    """The diagonal volume chain of one degree: sum over box points and
-    multi-indices of (cell) tensor (its dual cell with Levi-Civita sign)."""
-    out = ProductChain()
+def _volume_chain(box: LatticeBox, degree: int) -> dict:
+    """The diagonal volume chain of one degree, {((k, dirs), (k~, dirs~)):
+    coefficient} in the tensor product of the complex with its double: over
+    box points and multi-indices, (cell) tensor (its signed dual cell)."""
+    out: dict[tuple, int] = {}
     for mi in ALL_INDEXES:
         if len(mi) != degree:
             continue
         for k in np.ndindex(box.extents):
             dual = chain_star(basis_chain(k, mi))
             ((kk, comp),) = dual.terms.keys()
-            out.add((k, mi), (kk, comp), dual.terms[(kk, comp)])
+            add_term(out, ((k, mi), (kk, comp)), dual.terms[(kk, comp)])
     return out
 
 
-def _product_boundary(chain: ProductChain) -> ProductChain:
+def _product_boundary(chain: dict) -> dict:
     """Graded boundary of a product chain: boundary of the left factor plus
     (-1)^(left degree) times the boundary of the right factor."""
-    out = ProductChain()
-    for ((k, mi), (kt, mit)), coeff in chain.terms.items():
+    out: dict[tuple, int] = {}
+    for ((k, mi), (kt, mit)), coeff in chain.items():
         left_b = boundary(basis_chain(k, mi))
         for (kk, sub), c in left_b.terms.items():
-            out.add((kk, sub), (kt, mit), coeff * c)
+            add_term(out, ((kk, sub), (kt, mit)), coeff * c)
         sign = -1 if len(mi) % 2 else 1
         right_b = boundary(basis_chain(kt, mit, tilde=True))
         for (kk, sub), c in right_b.terms.items():
-            out.add((k, mi), (kk, sub), coeff * c * sign)
+            add_term(out, ((k, mi), (kk, sub)), coeff * c * sign)
     return out
 
 
@@ -244,7 +232,7 @@ def _volume_boundary_index(extents: tuple[int, ...], degree: int) -> tuple[np.nd
 
     rows = [(coeff, SLOT_OF[mi], flat(k), SLOT_OF[mit], flat(kt))
             for ((k, mi), (kt, mit)), coeff
-            in _product_boundary(_volume_chain(box, degree)).terms.items()]
+            in _product_boundary(_volume_chain(box, degree)).items()]
     columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T.copy()
     columns.flags.writeable = False
     return tuple(columns)

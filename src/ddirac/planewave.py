@@ -73,6 +73,8 @@ class Momentum:
 
     @classmethod
     def on_shell_from_spatial(cls, m, spatial, sign: int = +1) -> "Momentum":
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         p1, p2, p3 = spatial
         p0 = sign * np.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
         return cls(m, (p0, p1, p2, p3))

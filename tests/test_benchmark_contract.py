@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import ddirac
-from ddirac import oracle
+from ddirac import cli, oracle
 from ddirac.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,6 +44,12 @@ def test_benchmark_uses_only_exported_names():
     assert names and names <= set(ddirac.__all__), names - set(ddirac.__all__)
     oracle_names = _attributes(tree, "oracle")
     assert oracle_names and all(hasattr(oracle, name) for name in oracle_names)
+
+
+@pytest.mark.parametrize("name", ["SOLUTION_TOL", "CROSS_TOL", "OPERATOR_EQUIV_TOL",
+                                  "GREEN_TOL"])
+def test_verdict_tolerances_match_the_cli(name):
+    assert _constant(_tree("workloads.py"), name) == getattr(cli, name)
 
 
 def test_every_traced_layer_resolves():

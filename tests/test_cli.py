@@ -556,6 +556,8 @@ BAD_INPUT_REASONS = {
     "schema_version": "schema_version must be 3, got 2",
     "schema_version_3": "schema_version must be 3, got 4",
     "no_extents": "malformed cochain document: KeyError('extents')",
+    "no_components": "malformed cochain document: KeyError('components')",
+    "no_form": "malformed cochain document: KeyError('scalar_kind')",
     "non_finite": "component '': non-finite values",
     "complex_kind": "Hestenes input must be a real-kind cochain",
     "odd_degree": "Hestenes input must have even-degree components only",
@@ -581,6 +583,10 @@ def _bad_input(tmp_path, rng, case):
         doc["schema_version"] = 4  # a version this reader does not know
     elif case == "no_extents":
         del doc["extents"]
+    elif case == "no_components":
+        del doc["components"]
+    elif case == "no_form":  # the keys that once had defaults: a zero form
+        doc = {"schema_version": 3, "extents": [2, 2, 2, 2]}
     elif case == "non_finite":
         # the first float's bytes are those of a NaN
         doc["components"]["0"][""] = "000000000000f87f" + digits[16:]
@@ -595,7 +601,7 @@ def _bad_input(tmp_path, rng, case):
     (command, case)
     for command in ("dk-check", "hestenes-check")
     for case in ("float_count", "schema_version", "schema_version_3", "no_extents",
-                 "non_finite", "unit_extent")
+                 "no_components", "no_form", "non_finite", "unit_extent")
 ] + [("hestenes-check", "complex_kind"), ("hestenes-check", "odd_degree")])
 def test_bad_input_file_is_usage_error_naming_it(runner, tmp_path, rng, command,
                                                  case):

@@ -49,6 +49,21 @@ def test_box_interior_and_membership():
     assert not box.contains((-1, 0, 0, 0))
 
 
+def test_negative_interior_depth_rejected(rng):
+    """A depth of -1 read the k_mu = 0 slab, or a box one larger."""
+    w = random_cochain(LatticeBox((3, 3, 3, 3)), rng)
+    for depth_of in (w.max_abs, interior_slices, w.box.interior_extents):
+        with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+            depth_of(-1)
+
+
+@pytest.mark.parametrize("degrees", [{5}, {-1}, {"2"}, {0, 5}])
+def test_random_cochain_rejects_degrees_outside_0_to_4(rng, degrees):
+    """Such a degree selected no slot, and the form came back all zero."""
+    with pytest.raises(ValueError, match="degrees must be integers 0..4"):
+        random_cochain(LatticeBox((2, 2, 2, 2)), rng, degrees=degrees)
+
+
 def test_interior_slices_select_forward_region(rng):
     box = LatticeBox((4, 4, 4, 4))
     w = random_cochain(box, rng)
@@ -93,14 +108,21 @@ def test_arithmetic_and_kind_propagation(rng):
     assert (1j * a).scalar_kind == "complex"
     assert (a + random_cochain(box, rng)).scalar_kind == "complex"
     assert ((-a) + a).max_abs() == 0.0
+    # the kind is read off the dtype, so the two cannot disagree
+    assert Cochain.__slots__ == ("box", "data", "tilde")
+    assert a.like(a.data.astype(np.complex128)).scalar_kind == "complex"
+    assert a.like(a.data, tilde=True).scalar_kind == "real"
+    with pytest.raises(AttributeError):
+        a.scalar_kind = "complex"
 
 
 def test_mismatched_operands_raise(rng):
     a = random_cochain(LatticeBox((2, 2, 2, 2)), rng)
     with pytest.raises(ValueError):
         a + random_cochain(LatticeBox((3, 2, 2, 2)), rng)
+    c = random_cochain(a.box, rng)
     with pytest.raises(ValueError):
-        a + random_cochain(a.box, rng, tilde=True)
+        a + c.like(c.data, tilde=True)
 
 
 def test_from_components_broadcasts_scalars():

@@ -107,7 +107,7 @@ def _green_term_per_cell(phi, omega):
         star_conj = star(omega_r.like(np.conj(omega_r.data)))
         for vol_degree in (r - 1, r):
             volume = oracle._volume_chain(box, vol_degree)
-            for ((k, mi), (kt, mit)), coeff in oracle._product_boundary(volume).terms.items():
+            for ((k, mi), (kt, mit)), coeff in oracle._product_boundary(volume).items():
                 left = read(phi_r, mi, k)
                 if left == 0.0:
                     continue

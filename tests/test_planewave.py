@@ -51,6 +51,10 @@ def test_momentum_validation():
     assert mom.p[0] < 0
     assert mom.on_shell()
     assert not Momentum(1.0, (2.0, 0, 0, 0)).on_shell()
+    # any other sign scaled p0 off the shell
+    for sign in (0, 2, -3, 0.5):
+        with pytest.raises(ValueError, match="sign must be"):
+            Momentum.on_shell_from_spatial(1.0, (0.3, -0.1, 0.2), sign)
 
 
 @pytest.mark.parametrize("m", [np.inf, -np.inf, np.nan])

@@ -27,7 +27,8 @@ def test_json_round_trip(rng, tmp_path):
 
 
 def test_round_trip_preserves_kind_and_tilde(rng, tmp_path):
-    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind="real", tilde=True)
+    w = random_cochain(LatticeBox((2, 2, 2, 2)), rng, scalar_kind="real")
+    w = w.like(w.data, tilde=True)
     path = tmp_path / "tilde.json"
     w.save(path)
     back = Cochain.load(path)
@@ -136,9 +137,11 @@ MALFORMED = {
     '[1, 2]': "malformed .*'list' object has no attribute 'get'",
     '{"schema_version": 3}': "malformed .*KeyError\\('extents'\\)",
     '{"schema_version": 3, "extents": 4}': "malformed .*'int' object is not iterable",
-    '{"schema_version": 3, "extents": [1, 1, 1, 1], "components": [1]}':
+    '{"schema_version": 3, "extents": [1, 1, 1, 1], "scalar_kind": "complex", '
+    '"components": [1]}':
         "malformed .*'list' object has no attribute 'items'",
-    '{"schema_version": 3, "extents": [1, 1, 1, 1], "components": {"0": {"": {}}}}':
+    '{"schema_version": 3, "extents": [1, 1, 1, 1], "scalar_kind": "complex", '
+    '"components": {"0": {"": {}}}}':
         "malformed .*'dict'",
     '{"schema_version": 3, "extents": [1.9, 1, 1, true]}':
         "extents must be integers, got \\[1.9, 1, 1, True\\]",
@@ -146,8 +149,15 @@ MALFORMED = {
     '{"schema_version": 3, "extents": [1, 1, 1, 1], "scalar_kind": "real", '
     '"components": {"1": {"": "000000000000e03f"}}}':
         "component '' has degree 0, filed under '1'",
-    '{"schema_version": 3, "extents": [1, 1, 1, 1], "tilde": "no"}':
+    '{"schema_version": 3, "extents": [1, 1, 1, 1], "scalar_kind": "complex", '
+    '"components": {}, "tilde": "no"}':
         "tilde must be true or false, got 'no'",
+    # every key that `save` writes is required: none has a default
+    '{"schema_version": 3, "extents": [2, 2, 2, 2]}': "malformed .*KeyError\\('scalar_kind'\\)",
+    '{"schema_version": 3, "extents": [2, 2, 2, 2], "scalar_kind": "real", "tilde": false}':
+        "malformed .*KeyError\\('components'\\)",
+    '{"schema_version": 3, "extents": [2, 2, 2, 2], "scalar_kind": "real", "components": {}}':
+        "malformed .*KeyError\\('tilde'\\)",
     '{"schema_version": 3, "extents": [1, 1, 1, 1], "scalar_kind": "quaternion"}':
         "scalar_kind must be 'real' or 'complex', got 'quaternion'",
 }
