@@ -9,9 +9,12 @@ representation.
 
 A real-kind cochain is checked for imaginary parts only where complex data
 enters it (``from_components``, a caller's array); arithmetic on real-kind
-cochains stays float64 and is never re-scanned.  Cochain files hold a real-kind
-cochain's floats only, so loading one never builds complex data.  Loading
-requires all five keys that `Cochain.save` writes.
+cochains stays float64 and is never re-scanned.  A cochain file is a one-line
+JSON header and then the raw float64 bytes of each stored slot, which `save`
+writes from the array and `load` reads into the result, so neither makes a
+copy of the data; a real-kind file holds one float per point and loads
+without complex data.  `load` requires all five header keys that `save`
+writes.
 
 One boundary rule holds everywhere: out-of-box reads are zero, which treats
 the stored field as a compactly supported form on the infinite lattice, so
@@ -31,6 +34,7 @@ reuses it without page faults (see `_keep_freed_memory`).
 from __future__ import annotations
 
 import ctypes
+import json
 import os
 import stat
 from dataclasses import dataclass
@@ -50,9 +54,13 @@ from .multiindex import (
 #: Maximum imaginary part tolerated in a real-kind cochain.
 REAL_IMAG_TOL = 1e-14
 
-#: Version 3 writes a slot as the hex digits of its float64 bytes, where
-#: version 2 wrote decimal floats; files of earlier versions are rejected.
-SCHEMA_VERSION = 3
+#: Version 4 files are a one-line JSON header and then the raw float64 bytes
+#: of each stored slot; version 3 held each slot as hex digits in one JSON
+#: document.  Files of earlier versions are rejected.
+SCHEMA_VERSION = 4
+#: The longest header line `load` reads: a file with no newline near its start
+#: is refused without reading it all.  A header is ~150 bytes.
+MAX_HEADER_BYTES = 64 * 2**10
 
 #: glibc serves an allocation of at least M_MMAP_THRESHOLD bytes with a fresh
 #: mmap and unmaps it on free, so each new cochain (2.65 MB at 12^4) is
@@ -242,76 +250,28 @@ class Cochain:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The file format: each nonzero slot as one string, the hex digits of
-        its little-endian float64 bytes in row-major order, N floats for the
-        real kind and N interleaved (re, im) pairs for the complex kind.
-        Non-finite data raises ValueError, as on load."""
-        components: dict[str, dict[str, str]] = {}
+    def save(self, path):
+        """Write the cochain file: a one-line JSON header, then the little-endian
+        float64 bytes of each nonzero slot, written from the array itself.
+        Non-finite data raises before `path` is opened, and a write that fails
+        leaves the file empty."""
+        slots = []
         for slot, mi in enumerate(ALL_INDEXES):
             arr = self.data[slot]
             if not np.any(arr):
                 continue
             if not np.isfinite(arr).all():
                 raise ValueError(f"component {as_string(mi)!r}: non-finite values")
-            components.setdefault(str(len(mi)), {})[as_string(mi)] = \
-                arr.view(np.float64).astype("<f8", copy=False).tobytes().hex()
-        return {"schema_version": SCHEMA_VERSION, "extents": list(self.box.extents),
-                "scalar_kind": self.scalar_kind, "tilde": self.tilde,
-                "components": components}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Cochain":
-        """Inverse of `to_json_dict`; any document that is not a valid
-        cochain raises ValueError."""
-        try:
-            if doc.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
-                                 f"got {doc.get('schema_version')!r}")
-            box = LatticeBox(tuple(doc["extents"]))
-            scalar_kind = doc["scalar_kind"]
-            data = np.zeros((NSLOTS,) + box.extents, dtype=_dtype_of(scalar_kind))
-            # the floats of one slot: complex128 is itself interleaved (re, im),
-            # and re + 1j*im would turn a -0.0 into 0.0
-            slots = data.reshape(NSLOTS, -1).view(np.float64)
-            nfloats = slots.shape[1]
-            for degree, by_mi in doc["components"].items():
-                for mi_string, digits in by_mi.items():
-                    mi = from_string(mi_string)
-                    if degree != str(len(mi)):
-                        raise ValueError(f"component {mi_string!r} has degree "
-                                         f"{len(mi)}, filed under {degree!r}")
-                    if not isinstance(digits, str):
-                        raise TypeError(f"component {mi_string!r}: expected a string "
-                                        f"of hex digits, got {type(digits).__name__!r}")
-                    try:
-                        raw = bytes.fromhex(digits)
-                    except ValueError as exc:
-                        raise ValueError(f"component {mi_string!r}: {exc}") from None
-                    # fromhex skips whitespace, so count the digits and the bytes
-                    if not len(digits) == 2 * len(raw) == 16 * nfloats:
-                        raise ValueError(f"component {mi_string!r}: expected {nfloats} "
-                                         f"floats as {16 * nfloats} hex digits")
-                    flat = np.frombuffer(raw, "<f8")
-                    if not np.isfinite(flat).all():
-                        raise ValueError(f"component {mi_string!r}: non-finite values")
-                    slots[SLOT_OF[mi]] = flat
-            tilde = doc["tilde"]
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed cochain document: {exc!r}") from exc
-        if not isinstance(tilde, bool):
-            raise ValueError(f"tilde must be true or false, got {tilde!r}")
-        return cls(box, data, scalar_kind, tilde)
-
-    def save(self, path):
-        """Write compact JSON.  Non-finite data raises before `path` is opened,
-        and a write that fails leaves the file empty."""
-        # imported here, as in load: only file I/O needs orjson, and importing
-        # it with the package adds ~5 ms to start-up and ~0.7 MB of memory
-        import orjson
-
-        blob = memoryview(orjson.dumps(self.to_json_dict()))
-        size = len(blob)
+            slots.append(slot)
+        header = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "extents": list(self.box.extents),
+             "scalar_kind": self.scalar_kind, "tilde": self.tilde,
+             "slots": [as_string(ALL_INDEXES[slot]) for slot in slots]},
+            separators=(",", ":")).encode() + b"\n"
+        # complex128 is itself interleaved (re, im); no copy on a little-endian host
+        chunks = [header] + [memoryview(self.data[slot].view(np.float64).astype(
+            "<f8", copy=False)).cast("B") for slot in slots]
+        size = sum(len(chunk) for chunk in chunks)
         # An existing file is written over, then cut to length.  Truncating it
         # on open would make ext4 start writing the file to disk as it closes
         # (auto_da_alloc), and the next save of the same path would wait for
@@ -320,8 +280,9 @@ class Cochain:
         try:
             regular = stat.S_ISREG(os.fstat(fd).st_mode)  # not /dev/null or a pipe
             try:
-                while blob:
-                    blob = blob[os.write(fd, blob):]
+                for chunk in chunks:
+                    while chunk:
+                        chunk = chunk[os.write(fd, chunk):]
                 if regular:
                     os.ftruncate(fd, size)
             except BaseException:
@@ -333,18 +294,73 @@ class Cochain:
 
     @classmethod
     def load(cls, path) -> "Cochain":
-        """Read a cochain file; malformed JSON, NaN, Infinity and overflowing
-        numbers raise ``orjson.JSONDecodeError``, a ``ValueError``."""
-        import orjson
-
+        """Read a cochain file; each slot's bytes go straight into the result.
+        A file that is not a valid cochain raises ValueError."""
         with open(path, "rb") as fh:
-            return cls.from_json_dict(orjson.loads(fh.read()))
+            line = fh.readline(MAX_HEADER_BYTES + 1)
+            if len(line) > MAX_HEADER_BYTES:
+                raise ValueError(
+                    f"no header line in the first {MAX_HEADER_BYTES} bytes; files of "
+                    f"schema_version {SCHEMA_VERSION} start with one, and earlier "
+                    "versions are one line of JSON")
+            try:
+                doc = json.loads(line, parse_constant=_reject_constant)
+                if doc.get("schema_version") != SCHEMA_VERSION:
+                    raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
+                                     f"got {doc.get('schema_version')!r}")
+                box = LatticeBox(tuple(doc["extents"]))
+                scalar_kind = doc["scalar_kind"]
+                # little-endian, as in the file: the same dtype on such a host
+                dtype = np.dtype(_dtype_of(scalar_kind)).newbyteorder("<")
+                data = np.zeros((NSLOTS,) + box.extents, dtype=dtype)
+                tilde = doc["tilde"]
+                names = doc["slots"]
+                if not isinstance(names, list):
+                    raise TypeError(f"slots must be a list, got {type(names).__name__!r}")
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed cochain document: {exc!r}") from exc
+            if not isinstance(tilde, bool):
+                raise ValueError(f"tilde must be true or false, got {tilde!r}")
+            if not line.endswith(b"\n"):
+                raise ValueError("the header line must end in a newline")
+            order = []
+            for name in names:
+                slot = SLOT_OF[from_string(name)]
+                if slot in order:
+                    raise ValueError(f"component {name!r} is listed twice")
+                order.append(slot)
+            # a slot's floats: N for the real kind, N interleaved (re, im) pairs
+            # for the complex kind
+            floats = data.reshape(NSLOTS, -1).view("<f8")
+            expected = len(order) * floats.itemsize * floats.shape[1]
+            shape = f"{len(order)} slots × {floats.shape[1]} floats"
+            got = 0
+            for name, slot in zip(names, order):
+                n = fh.readinto(floats[slot])
+                got += n
+                if n < floats[slot].nbytes:
+                    raise ValueError(f"payload ends after {got} of {expected} bytes "
+                                     f"({shape})")
+                if not np.isfinite(floats[slot]).all():
+                    raise ValueError(f"component {name!r}: non-finite values")
+            if fh.read(1):
+                raise ValueError(f"bytes follow the {expected}-byte payload ({shape})")
+        return cls(box, data, scalar_kind, tilde)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in the header")
 
 
 def random_cochain(box, rng, scalar_kind="complex", degrees=None) -> Cochain:
     """Seeded random form with components uniform in [-1, 1] (per part)."""
-    if degrees is not None and not set(degrees) <= {0, 1, 2, 3, 4}:
-        raise ValueError(f"degrees must be integers 0..4, got {set(degrees)}")
+    if degrees is not None:
+        degrees = set(degrees)
+        if not degrees <= {0, 1, 2, 3, 4}:
+            raise ValueError(f"degrees must be integers 0..4, got {degrees}")
+        if not degrees:
+            raise ValueError("degrees must name at least one degree: an empty set "
+                             "is the zero form")
     out = Cochain.zeros(box, scalar_kind)
     for slot, mi in enumerate(ALL_INDEXES):
         if degrees is not None and len(mi) not in degrees:

@@ -67,5 +67,14 @@ def as_string(mi: tuple[int, ...]) -> str:
     return "".join(str(d) for d in mi)
 
 
+#: Each multi-index by its canonical name, the only names `from_string` reads.
+_BY_STRING = {as_string(mi): mi for mi in ALL_INDEXES}
+
+
 def from_string(s: str) -> tuple[int, ...]:
-    return validate(int(c) for c in s)
+    """Inverse of `as_string`: only a canonical name parses, so "10", " 01"
+    and other Unicode digits ("٠١") are errors, never a second name for a slot."""
+    try:
+        return _BY_STRING[s]
+    except (KeyError, TypeError):  # TypeError: an unhashable non-string
+        raise ValueError(f"not a multi-index name: {s!r}") from None

@@ -552,11 +552,11 @@ def test_option_surface(runner):
 
 #: What each `_bad_input` case does wrong, as the usage error says it.
 BAD_INPUT_REASONS = {
-    "float_count": "component '': expected 16 floats as 256 hex digits",
-    "schema_version": "schema_version must be 3, got 2",
-    "schema_version_3": "schema_version must be 3, got 4",
+    "float_count": "payload ends after 880 of 896 bytes (7 slots × 16 floats)",
+    "schema_version": "schema_version must be 4, got 2",
+    "schema_version_3": "schema_version must be 4, got 3",
     "no_extents": "malformed cochain document: KeyError('extents')",
-    "no_components": "malformed cochain document: KeyError('components')",
+    "no_components": "malformed cochain document: KeyError('slots')",
     "no_form": "malformed cochain document: KeyError('scalar_kind')",
     "non_finite": "component '': non-finite values",
     "complex_kind": "Hestenes input must be a real-kind cochain",
@@ -569,31 +569,38 @@ def _bad_input(tmp_path, rng, case):
     """Write a cochain file that `case` makes invalid; return its path."""
     kind = "complex" if case == "complex_kind" else "real"
     box = LatticeBox((2, 2, 1, 2) if case == "unit_extent" else (2, 2, 2, 2))
-    doc = random_cochain(box, rng, scalar_kind=kind, degrees={0, 2}).to_json_dict()
-    digits = doc["components"]["0"][""]
+    path = tmp_path / f"{case}.json"
+    random_cochain(box, rng, scalar_kind=kind, degrees={0, 2}).save(path)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    slots = np.frombuffer(payload, "<f8").reshape(len(header["slots"]), -1)
     if case == "float_count":
-        doc["components"]["0"][""] = digits[:-32]  # two floats short
-    elif case == "schema_version":
-        # a version-2 file: a slot was a list of decimal floats
-        doc["schema_version"] = 2
-        for by_mi in doc["components"].values():
-            for mi, values in by_mi.items():
-                by_mi[mi] = np.frombuffer(bytes.fromhex(values), "<f8").tolist()
-    elif case == "schema_version_3":
-        doc["schema_version"] = 4  # a version this reader does not know
+        payload = payload[:-16]  # two floats short
+    elif case in ("schema_version", "schema_version_3"):
+        # a file of an earlier version, one line of JSON: version 2 held each
+        # slot as a list of decimal floats, version 3 as the hex digits of its bytes
+        old = 2 if case == "schema_version" else 3
+        components = {}
+        for name, values in zip(header["slots"], slots):
+            components.setdefault(str(len(name)), {})[name] = \
+                values.tolist() if old == 2 else values.tobytes().hex()
+        path.write_text(json.dumps({"schema_version": old, "extents": header["extents"],
+                                    "scalar_kind": kind, "tilde": False,
+                                    "components": components}))
+        return path
     elif case == "no_extents":
-        del doc["extents"]
+        del header["extents"]
     elif case == "no_components":
-        del doc["components"]
+        del header["slots"]
     elif case == "no_form":  # the keys that once had defaults: a zero form
-        doc = {"schema_version": 3, "extents": [2, 2, 2, 2]}
+        header = {"schema_version": 4, "extents": [2, 2, 2, 2]}
     elif case == "non_finite":
         # the first float's bytes are those of a NaN
-        doc["components"]["0"][""] = "000000000000f87f" + digits[16:]
+        payload = bytes.fromhex("000000000000f87f") + payload[8:]
     elif case == "odd_degree":
-        doc["components"]["1"] = {"0": "000000000000f03f" * 16}  # 1.0 at every point
-    path = tmp_path / f"{case}.json"
-    path.write_text(json.dumps(doc))
+        header["slots"].append("0")
+        payload += np.ones(16, "<f8").tobytes()  # 1.0 at every point
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     return path
 
 

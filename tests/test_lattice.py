@@ -64,6 +64,12 @@ def test_random_cochain_rejects_degrees_outside_0_to_4(rng, degrees):
         random_cochain(LatticeBox((2, 2, 2, 2)), rng, degrees=degrees)
 
 
+def test_random_cochain_rejects_empty_degrees(rng):
+    """An empty set selected no slot, and the form came back all zero."""
+    with pytest.raises(ValueError, match="degrees must name at least one degree"):
+        random_cochain(LatticeBox((2, 2, 2, 2)), rng, degrees=set())
+
+
 def test_interior_slices_select_forward_region(rng):
     box = LatticeBox((4, 4, 4, 4))
     w = random_cochain(box, rng)

@@ -66,6 +66,15 @@ def test_string_round_trip():
     assert mi.as_string((0, 2, 3)) == "023"
 
 
+@pytest.mark.parametrize("name", ["٠١", "０１", "10", "001", " 01", "01 ", "0 1", "e01",
+                                  "4", "01234"])
+def test_from_string_reads_only_canonical_names(name):
+    """int() reads any Unicode decimal digit: were "٠١" read as (0, 1), a
+    cochain file could name one slot twice."""
+    with pytest.raises(ValueError, match="not a multi-index name"):
+        mi.from_string(name)
+
+
 def test_parity_slot_partition():
     assert set(mi.EVEN_SLOTS) | set(mi.ODD_SLOTS) == set(range(16))
     assert len(mi.EVEN_SLOTS) == len(mi.ODD_SLOTS) == 8
