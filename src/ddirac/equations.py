@@ -4,17 +4,25 @@ Each equation is implemented twice: an operator form built from the calculus
 and Clifford modules, and a literal stencil form driven by per-line term
 tables (sign, difference direction, source component).  The two routes are
 independent and must agree; that cross-check is the main correctness test.
+
+All four routes run on the slot engine `calculus.apply_stencil`.  Each
+output slot is summed, finished with the route's own arithmetic (the factor
+i and the mass term, or the Clifford signs), and reduced to its interior
+and reference maxima while it is still in cache; at 16^4 complex the slots
+are shared between two threads (see `calculus`).  The results are
+bit-identical to whole-array arithmetic in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import CODIFF_STENCIL, DC_STENCIL, accumulate, apply_stencil, dirac_operator
+from .calculus import CODIFF_STENCIL, DC_STENCIL, apply_stencil
 from .clifford import _shuffle_map, build_table
-from .lattice import Cochain
+from .lattice import Cochain, interior_slices
 from .multiindex import ALL_INDEXES, EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
@@ -36,13 +44,40 @@ class EquationResidual:
         return {"max_abs": self.max_abs, "rel": self.rel, "region": list(self.region)}
 
 
-def _summarize(residual: Cochain, reference: Cochain) -> EquationResidual:
-    """Summarize a residual on the depth-1 interior, where every forward
-    difference stays inside the box."""
-    max_abs = residual.max_abs(1)
-    scale = max(reference.max_abs(), TINY)
-    return EquationResidual(residual, max_abs, max_abs / scale,
-                            residual.box.interior_extents(1), scale)
+def _floats(buf: np.ndarray, shape) -> np.ndarray:
+    """A float64 array of `shape` on the front of the contiguous `buf`."""
+    return buf.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+
+
+def _residual(omega: Cochain, stencil, second, dtype, end_line) -> EquationResidual:
+    """Run a residual route on the slot engine and summarize it on the
+    depth-1 interior, where every forward difference stays inside the box.
+
+    ``end_line(slot, acc, scratch)`` applies the route's own arithmetic to
+    the summed slot and returns the input slot of the reference term it read.
+    The slot's interior maximum and that input slot's maximum are taken next,
+    in the worker's scratch.  A result slot with no line, and an input slot
+    that no line reads, is zero, so the maxima over the others are those over
+    the whole arrays; an empty interior gives a NaN `max_abs` and `rel`."""
+    data = omega.data
+    region = omega.box.interior_extents(1)
+    inner = interior_slices(1)[1:] if all(region) else None
+    res_max, ref_max = [], []
+    floats = {}  # per worker's scratch: its float64 views for the two maxima
+
+    def finish(slot, acc, scratch):
+        ref = end_line(slot, acc, scratch)
+        if id(scratch) not in floats:
+            floats[id(scratch)] = (_floats(scratch, region), _floats(scratch, acc.shape))
+        res_floats, ref_floats = floats[id(scratch)]
+        if inner is not None:
+            res_max.append(np.abs(acc[inner], out=res_floats).max())
+        ref_max.append(np.abs(data[ref], out=ref_floats).max())
+
+    out = apply_stencil(data, stencil, second, dtype, finish)
+    max_abs = float(np.max(res_max)) if inner is not None else float("nan")
+    scale = max(float(np.max(ref_max)), TINY)
+    return EquationResidual(omega.like(out), max_abs, max_abs / scale, region, scale)
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -75,31 +110,30 @@ def check_mass(m: float):
         raise ValueError(f"mass must be finite and positive, got {m}")
 
 
-def _subtract_mass(out: np.ndarray, data: np.ndarray, m: float):
-    """out -= m * data, one slot at a time, so m * data is never a full-size
-    array."""
-    scratch = np.empty_like(data[0])
-    for s in range(NSLOTS):
-        np.multiply(m, data[s], out=scratch)
-        out[s] -= scratch
+def _dk_residual(omega: Cochain, m: float, stencil, second) -> EquationResidual:
+    """The DK residual i * (stencil sums) - m * omega, written straight into a
+    complex128 result; a real input's sums have +0.0 imaginary parts there,
+    as in a complex copy of a real sum."""
+    check_mass(m)
+    data = omega.data
+
+    def end_line(slot, acc, scratch):
+        acc *= 1j
+        np.multiply(m, data[slot], out=scratch)
+        acc -= scratch
+        return slot
+
+    return _residual(omega, stencil, second, np.complex128, end_line)
 
 
 def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
     """Residual of i*(d_c + codifferential)Omega = m*Omega."""
-    check_mass(m)
-    out = dirac_operator(omega).data.astype(np.complex128, copy=False)
-    out *= 1j
-    _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out), omega)
+    return _dk_residual(omega, m, DC_STENCIL, CODIFF_STENCIL)
 
 
 def dk_residual_stencil(omega: Cochain, m: float) -> EquationResidual:
     """Same residual evaluated from the 16 literal difference equations."""
-    check_mass(m)
-    out = apply_stencil(omega.data, DK_STENCIL).astype(np.complex128, copy=False)
-    out *= 1j
-    _subtract_mass(out, omega.data, m)
-    return _summarize(omega.like(out), omega)
+    return _dk_residual(omega, m, DK_STENCIL, None)
 
 
 # --- Hestenes equation: -(D Omega_ev) e1 e2 = m Omega_ev e0 ------------------
@@ -118,17 +152,17 @@ HESTENES_STENCIL = {
 }
 
 
-def _moved_to_e0_images(stencil: dict) -> tuple[dict, list]:
+def _moved_to_e0_images(stencil: dict) -> tuple[dict, dict]:
     """Each line moved to the odd slot into which right-multiplication by e0
     sends its right-hand-side component, with that map's sign folded into
-    the line's term signs.  Returns the moved stencil and, per line, the
-    (sign, right-hand-side slot, target slot) of its mass term."""
+    the line's term signs.  Returns the moved stencil and, per target slot,
+    the (sign, right-hand-side slot) of its mass term."""
     table = build_table()
-    moved, mass_terms = {}, []
+    moved, mass_terms = {}, {}
     for rhs_mi, terms in stencil.items():
         sign_c, slot_mi = table.product(rhs_mi, (0,))
         moved[slot_mi] = [(sign_c * sign, mu, src) for sign, mu, src in terms]
-        mass_terms.append((sign_c, SLOT_OF[rhs_mi], SLOT_OF[slot_mi]))
+        mass_terms[SLOT_OF[slot_mi]] = (sign_c, SLOT_OF[rhs_mi])
     return moved, mass_terms
 
 
@@ -144,27 +178,29 @@ def check_even_real(omega: Cochain):
         raise ValueError("Hestenes input must have even-degree components only")
 
 
-def _hestenes_operator_lines() -> tuple:
+def _hestenes_operator_lines() -> tuple[dict, dict, tuple]:
     """Per output slot s of -(D Omega_ev) e12 - m Omega_ev e0: the d_c and
     codifferential terms of the slot that right-multiplication by e12 sends
-    to s, whether that map negates it, and the e0 map's source slot and
-    negation.  Terms that read odd slots are dropped: on an even form they
-    read only zeros, and adding a zero leaves a sum that started at +0.0
-    unchanged, so the result is bit-identical."""
+    to s, as two stencils keyed by s's multi-index, and per slot whether that
+    map negates it and the e0 map's source slot and negation.  Terms that
+    read odd slots are dropped: on an even form they read only zeros, and
+    adding a zero leaves a sum that started at +0.0 unchanged, so the result
+    is bit-identical."""
     src12, neg12 = _shuffle_map((1, 2), "right")
     src0, neg0 = _shuffle_map((0,), "right")
 
     def even_terms(stencil, mi):
         return tuple(t for t in stencil.get(mi, ()) if SLOT_OF[t[2]] in EVEN_SLOTS)
 
-    return tuple(
-        (s, even_terms(DC_STENCIL, ALL_INDEXES[src12[s]]),
-         even_terms(CODIFF_STENCIL, ALL_INDEXES[src12[s]]),
-         s in neg12, int(src0[s]), s in neg0)
-        for s in range(NSLOTS))
+    dc = {mi: even_terms(DC_STENCIL, ALL_INDEXES[src12[s]])
+          for s, mi in enumerate(ALL_INDEXES)}
+    codiff = {mi: even_terms(CODIFF_STENCIL, ALL_INDEXES[src12[s]])
+              for s, mi in enumerate(ALL_INDEXES)}
+    signs = tuple((s in neg12, int(src0[s]), s in neg0) for s in range(NSLOTS))
+    return dc, codiff, signs
 
 
-_HESTENES_OPERATOR_LINES = _hestenes_operator_lines()
+_HESTENES_DC, _HESTENES_CODIFF, _HESTENES_SIGNS = _hestenes_operator_lines()
 
 
 def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
@@ -172,20 +208,14 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
 
     Written slot by slot into the one output array, with the arithmetic of
     the composed form: each slot gets the d_c sum, plus the codifferential
-    sum, then the e12 sign, plus the e0-signed m * omega; the whole array is
-    negated once, since -(a + b) rounds exactly as -a - b."""
+    sum, then the e12 sign, plus the e0-signed m * omega, and is negated,
+    since -(a + b) rounds exactly as -a - b."""
     check_mass(m)
     check_even_real(omega_ev)
     data = omega_ev.data
-    out = np.zeros_like(data)
-    scratch = np.empty_like(data[0])
-    for s, dc_terms, codiff_terms, neg12, src0, neg0 in _HESTENES_OPERATOR_LINES:
-        acc = out[s]
-        accumulate(acc, data, dc_terms)
-        if codiff_terms:
-            scratch.fill(0)
-            accumulate(scratch, data, codiff_terms)
-            acc += scratch
+
+    def end_line(slot, acc, scratch):
+        neg12, src0, neg0 = _HESTENES_SIGNS[slot]
         if neg12:
             np.negative(acc, out=acc)
         # -(x * m) rounds exactly as (-x) * m
@@ -193,8 +223,10 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
         if neg0:
             np.negative(scratch, out=scratch)
         acc += scratch
-    np.negative(out, out=out)
-    return _summarize(omega_ev.like(out), omega_ev)
+        np.negative(acc, out=acc)
+        return src0
+
+    return _residual(omega_ev, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
 
 
 def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
@@ -206,10 +238,13 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     """
     check_mass(m)
     check_even_real(omega_ev)
-    out = apply_stencil(omega_ev.data, _HESTENES_E0_STENCIL)
-    mass = np.empty(omega_ev.box.extents)
-    for sign_c, rhs, target in _HESTENES_E0_MASS:
+    data = omega_ev.data
+
+    def end_line(slot, acc, scratch):
+        sign_c, rhs = _HESTENES_E0_MASS[slot]
         # sign_c * (line - m x) rounds exactly as sign_c * line - (sign_c m) x
-        np.multiply(omega_ev.data[rhs], sign_c * m, out=mass)
-        out[target] -= mass
-    return _summarize(omega_ev.like(out), omega_ev)
+        np.multiply(data[rhs], sign_c * m, out=scratch)
+        acc -= scratch
+        return rhs
+
+    return _residual(omega_ev, _HESTENES_E0_STENCIL, None, None, end_line)

@@ -6,14 +6,18 @@ in a benchmark run.
 """
 
 import ast
+import functools
 import importlib
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import ddirac
-from ddirac import cli, oracle
+from ddirac import calculus, cli, oracle
 from ddirac.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,6 +66,48 @@ def test_every_traced_layer_resolves():
                 assert attr in vars(module.Cochain), f"{layer}.{name}"
             else:
                 assert hasattr(module, name), f"{layer}.{name}"
+
+
+def _record_thread(fn, idents):
+    @functools.wraps(fn)
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def test_traced_layers_run_on_the_calling_thread(monkeypatch):
+    """The tracer takes self time as a span minus its children, with calls
+    strictly nested in one thread.  So while the slot engine shares a 16^4
+    DK residual's lines with a second thread, every call of a traced name
+    comes from the caller's; only the engine's own `accumulate` runs on
+    both."""
+    traced = []
+    for layer, names in _constant(_tree("spans.py"), "LAYERS").items():
+        module = importlib.import_module(f"ddirac.{layer}")
+        for name in names:
+            if layer == "lattice":
+                attr = "__init__" if name == "Cochain" else name
+                monkeypatch.setattr(module.Cochain, attr,
+                                    _record_thread(vars(module.Cochain)[attr], traced))
+                continue
+            # as the tracer does: in every ddirac namespace that holds it
+            original = getattr(module, name)
+            recorded = _record_thread(original, traced)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "ddirac":
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, recorded)
+    engine = []
+    monkeypatch.setattr(calculus, "accumulate", _record_thread(calculus.accumulate, engine))
+    monkeypatch.setattr(calculus, "_workers", lambda: 2)
+    omega = ddirac.random_cochain(ddirac.LatticeBox((16, 16, 16, 16)),
+                                  np.random.default_rng(3))
+    ddirac.dk_residual_operator(omega, 1.3)
+    ddirac.dk_residual_stencil(omega, 1.3)
+    assert traced and set(traced) == {threading.get_ident()}
+    assert len(set(engine)) == 2
 
 
 def test_every_workload_box_builds():

@@ -1,7 +1,9 @@
 """The contiguous-run stencil engine against the per-axis slice engine it
-replaced, bit for bit, warning for warning; and the one-array rule of the
-routes built on it."""
+replaced, bit for bit, warning for warning; the one-array rule of the routes
+built on it; and its two-thread split against its inline run."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,17 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddirac import calculus
 from ddirac.calculus import (
     CODIFF_STENCIL,
     DC_STENCIL,
     accumulate,
     apply_stencil,
+    codifferential,
+    d_c,
     dirac_operator,
 )
-from ddirac.clifford import DIRAC_STENCIL, mul_basis_right
+from ddirac.clifford import DIRAC_STENCIL, dirac_clifford, mul_basis_right
 from ddirac.equations import (
     _HESTENES_E0_STENCIL,
     DK_STENCIL,
+    EquationResidual,
     dk_residual_operator,
     dk_residual_stencil,
     hestenes_residual_operator,
@@ -203,3 +209,143 @@ def test_route_allocates_one_full_size_array(rng, peak_over_input, route, kind):
     else:
         omega = random_cochain(box, rng)
     assert peak_over_input(route, omega) < 1.6
+
+
+@pytest.mark.parametrize("route", [dk_residual_operator, dk_residual_stencil],
+                         ids=["dk_operator", "dk_stencil"])
+def test_dk_route_on_real_input_allocates_only_the_complex_result(
+        rng, peak_over_input, route):
+    """A real input's DK residual is complex, twice the input's size; the
+    sums are cast into it slot by slot, never through a full-size real copy
+    (which made the peak 3.0 input cochains)."""
+    omega = random_cochain(LatticeBox((8, 8, 8, 8)), rng, scalar_kind="real")
+    assert peak_over_input(lambda w: route(w, 1.3), omega) < 2.5
+
+
+# --- the two-thread split ---------------------------------------------------
+
+#: Every route on the slot engine: (function of a form and a mass, whether it
+#: takes a real even form).
+ENGINE_ROUTES = {
+    "dk_operator": (dk_residual_operator, False),
+    "dk_stencil": (dk_residual_stencil, False),
+    "hestenes_operator": (hestenes_residual_operator, True),
+    "hestenes_stencil": (hestenes_residual_stencil, True),
+    "dirac_operator": (lambda w, _m: dirac_operator(w), False),
+    "d_c": (lambda w, _m: d_c(w), False),
+    "codifferential": (lambda w, _m: codifferential(w), False),
+    "dirac_clifford": (lambda w, _m: dirac_clifford(w), False),
+}
+
+
+def _outcomes(form, even, m):
+    """Per route: the result's bytes, and for a residual its summary."""
+    got = {}
+    for name, (route, wants_even) in ENGINE_ROUTES.items():
+        result = route(even if wants_even else form, m)
+        if isinstance(result, EquationResidual):
+            got[name] = (result.residual.data.tobytes(),
+                         repr((result.max_abs, result.rel, result.region, result.scale)))
+        else:
+            got[name] = (result.data.tobytes(),)
+    return got
+
+
+def _forms(extents, kind, seed):
+    """A random form of `kind` and a real even form on the same box."""
+    box = LatticeBox(extents)
+    data = _data(extents, kind, seed)
+    even = _data(extents, "real", seed + 1)
+    even[list(ODD_SLOTS)] = 0.0
+    return Cochain(box, data, scalar_kind=kind), Cochain(box, even, scalar_kind="real")
+
+
+def _force_split(mp):
+    mp.setattr(calculus, "SPLIT_BYTES", 0)
+    mp.setattr(calculus, "_workers", lambda: 2)
+
+
+@given(extents=st.tuples(*[st.integers(1, 5)] * 4),
+       unit_axis=st.sampled_from([None, 0, 1, 2, 3]),
+       kind=st.sampled_from(["real", "complex"]),
+       seed=st.integers(0, 2**31),
+       m=st.floats(0.1, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_split_equals_inline(extents, unit_axis, kind, seed, m):
+    """Every route gives the same bytes and summary with its lines shared
+    between two threads as inline; a unit extent leaves the interior empty,
+    and the summary NaN, either way."""
+    if unit_axis is not None:
+        extents = extents[:unit_axis] + (1,) + extents[unit_axis + 1:]
+    form, even = _forms(extents, kind, seed)
+    inline = _outcomes(form, even, m)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp)
+        assert _outcomes(form, even, m) == inline
+    if unit_axis is not None:
+        assert "nan" in inline["dk_operator"][1]
+
+
+def test_split_equals_inline_at_16_4(monkeypatch):
+    """A 16^4 complex result slot (1 MiB) splits at the default split size;
+    every route gives the bytes and summary of a one-thread run."""
+    assert 16**4 * np.dtype(np.complex128).itemsize >= calculus.SPLIT_BYTES
+    form, even = _forms((16, 16, 16, 16), "complex", 7)
+    split = _outcomes(form, even, 1.3)
+    monkeypatch.setattr(calculus, "_workers", lambda: 1)
+    assert _outcomes(form, even, 1.3) == split
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every stencil call shares its lines with a second thread."""
+    _force_split(monkeypatch)
+
+
+def _on_worker(action):
+    """A `finish` that runs `action` on the second thread only, after a
+    pause long enough for a caller that did not wait for it to return."""
+    caller = threading.get_ident()
+
+    def finish(slot, acc, scratch):
+        if threading.get_ident() != caller:
+            time.sleep(0.05)
+            action()
+    return finish
+
+
+def test_split_follows_the_callers_numpy_error_state(split):
+    """numpy keeps its error state in a context variable, which a new thread
+    does not inherit: a worker outside the caller's context overflows with a
+    warning where the caller's state says raise."""
+    omega = Cochain(LatticeBox((3, 3, 3, 3)), np.full((NSLOTS, 3, 3, 3, 3), 1e308),
+                    scalar_kind="real")
+    for route in (dk_residual_operator, dk_residual_stencil):
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="raise"):
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                route(omega, 1.0)
+        assert not caught, [str(w.message) for w in caught]
+    with np.errstate(over="raise"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "_workers", lambda: 1)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            dk_residual_stencil(omega, 1.0)
+
+
+def test_worker_exception_reaches_the_caller(split):
+    def fail():
+        raise LookupError("raised on the worker")
+    before = threading.active_count()
+    with pytest.raises(LookupError, match="raised on the worker"):
+        apply_stencil(_data((3, 3, 3, 3), "real", 0), DC_STENCIL,
+                      finish=_on_worker(fail))
+    assert threading.active_count() == before
+
+
+def test_split_call_leaves_no_thread_running(split):
+    before = threading.active_count()
+    out = apply_stencil(_data((3, 3, 3, 3), "real", 0), DC_STENCIL,
+                        finish=_on_worker(lambda: None))
+    assert threading.active_count() == before
+    assert out.shape == (NSLOTS, 3, 3, 3, 3)
