@@ -9,7 +9,7 @@ relations) hold on the interior region, which shrinks by one per application.
 
 Every stencil operator and residual route runs on one slot engine,
 `apply_stencil`: each output slot is summed and finished start to end by one
-worker.  A slot of at least `SPLIT_BYTES` has its 16 lines shared between the
+worker.  A slot of at least `SPLIT_BYTES` has its lines shared between the
 calling thread and one short-lived second thread, where the process may run
 on two CPUs; smaller slots run inline.  Either way each point sees the same
 operations in the same order, so the results are bit-identical, and numpy's

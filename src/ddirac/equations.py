@@ -5,12 +5,13 @@ and Clifford modules, and a literal stencil form driven by per-line term
 tables (sign, difference direction, source component).  The two routes are
 independent and must agree; that cross-check is the main correctness test.
 
-All four routes run on the slot engine `calculus.apply_stencil`.  Each
-output slot is summed, finished with the route's own arithmetic (the factor
-i and the mass term, or the Clifford signs), and reduced to its interior
-and reference maxima while it is still in cache; at 16^4 complex the slots
-are shared between two threads (see `calculus`).  The results are
-bit-identical to whole-array arithmetic in the same order.
+All four routes run on the slot engine `calculus.apply_stencil`, the DK
+routes on all 16 output slots, the Hestenes routes on the 8 odd ones (their
+even slots are known zeros).  Each slot is summed, finished with the route's
+own arithmetic (the factor i and the mass term, or the Clifford signs), and
+reduced to its interior and reference maxima while it is still in cache; at
+16^4 complex the slots are shared between two threads (see `calculus`).  The
+results are bit-identical to whole-array arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ def _residual(omega: Cochain, stencil, second, dtype, end_line) -> EquationResid
     ``end_line(slot, acc, scratch)`` applies the route's own arithmetic to
     the summed slot and returns the input slot of the reference term it read.
     The slot's interior maximum and that input slot's maximum are taken next,
-    in the worker's scratch.  A result slot with no line, and an input slot
-    that no line reads, is zero, so the maxima over the others are those over
-    the whole arrays; an empty interior gives a NaN `max_abs` and `rel`."""
+    in the worker's scratch.  Only the stencils' slots are lines: on the even
+    input of a Hestenes route, the 8 odd result slots.  A result slot with no
+    line holds only zeros (signed ones, which the operator route writes after
+    the engine), and an input slot that no line reads is zero, so the maxima
+    over the others are those over the whole arrays; an empty interior gives
+    a NaN `max_abs` and `rel`."""
     data = omega.data
     region = omega.box.interior_extents(1)
     inner = interior_slices(1)[1:] if all(region) else None
@@ -179,23 +183,24 @@ def check_even_real(omega: Cochain):
 
 
 def _hestenes_operator_lines() -> tuple[dict, dict, tuple]:
-    """Per output slot s of -(D Omega_ev) e12 - m Omega_ev e0: the d_c and
-    codifferential terms of the slot that right-multiplication by e12 sends
-    to s, as two stencils keyed by s's multi-index, and per slot whether that
-    map negates it and the e0 map's source slot and negation.  Terms that
-    read odd slots are dropped: on an even form they read only zeros, and
-    adding a zero leaves a sum that started at +0.0 unchanged, so the result
-    is bit-identical."""
+    """Per odd output slot s of -(D Omega_ev) e12 - m Omega_ev e0: the d_c
+    and codifferential terms of the slot that right-multiplication by e12
+    sends to s, as two stencils keyed by s's multi-index; and per slot of all
+    16 whether that map negates it, and the e0 map's source slot and
+    negation.  Terms that read odd slots are dropped: on an even form they
+    read only zeros, and adding a zero leaves a sum that started at +0.0
+    unchanged, so the result is bit-identical.  That leaves no term for an
+    even output slot, whose value `hestenes_residual_operator` writes
+    directly."""
     src12, neg12 = _shuffle_map((1, 2), "right")
     src0, neg0 = _shuffle_map((0,), "right")
 
-    def even_terms(stencil, mi):
-        return tuple(t for t in stencil.get(mi, ()) if SLOT_OF[t[2]] in EVEN_SLOTS)
+    def even_terms(stencil, s):
+        return tuple(t for t in stencil.get(ALL_INDEXES[src12[s]], ())
+                     if SLOT_OF[t[2]] in EVEN_SLOTS)
 
-    dc = {mi: even_terms(DC_STENCIL, ALL_INDEXES[src12[s]])
-          for s, mi in enumerate(ALL_INDEXES)}
-    codiff = {mi: even_terms(CODIFF_STENCIL, ALL_INDEXES[src12[s]])
-              for s, mi in enumerate(ALL_INDEXES)}
+    dc = {ALL_INDEXES[s]: even_terms(DC_STENCIL, s) for s in ODD_SLOTS}
+    codiff = {ALL_INDEXES[s]: even_terms(CODIFF_STENCIL, s) for s in ODD_SLOTS}
     signs = tuple((s in neg12, int(src0[s]), s in neg0) for s in range(NSLOTS))
     return dc, codiff, signs
 
@@ -206,10 +211,11 @@ _HESTENES_DC, _HESTENES_CODIFF, _HESTENES_SIGNS = _hestenes_operator_lines()
 def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
     """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0.
 
-    Written slot by slot into the one output array, with the arithmetic of
-    the composed form: each slot gets the d_c sum, plus the codifferential
-    sum, then the e12 sign, plus the e0-signed m * omega, and is negated,
-    since -(a + b) rounds exactly as -a - b."""
+    The 8 odd slots run on the slot engine, with the arithmetic of the
+    composed form: each slot gets the d_c sum, plus the codifferential sum,
+    then the e12 sign, plus the e0-signed m * omega, and is negated, since
+    -(a + b) rounds exactly as -a - b.  The 8 even slots are written after,
+    each in one pass."""
     check_mass(m)
     check_even_real(omega_ev)
     data = omega_ev.data
@@ -226,7 +232,21 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
         np.negative(acc, out=acc)
         return src0
 
-    return _residual(omega_ev, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
+    result = _residual(omega_ev, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
+    # An even slot s of the composed form: its D sum is +0.0 (no term), made
+    # -0.0 by the e12 sign where that negates; the mass term z = +-(x * m)
+    # reads x = omega[src0], an odd slot and so +-0.0 (check_even_real).
+    # Then -(+0.0 + z) = -0.0 whatever z's sign, and -(-0.0 + z) = -z,
+    # which is x * m where the e0 map negates and x * -m where it does not.
+    # These zeros leave both maxima as they are.
+    out = result.residual.data
+    for s in EVEN_SLOTS:
+        neg12, src0, neg0 = _HESTENES_SIGNS[s]
+        if neg12:
+            np.multiply(data[src0], m if neg0 else -m, out=out[s])
+        else:
+            out[s].fill(-0.0)
+    return result
 
 
 def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:

@@ -23,7 +23,7 @@ import numpy as np
 from .clifford import build_table, mul_basis_left, mul_basis_right
 from .equations import check_mass
 from .lattice import Cochain, LatticeBox
-from .multiindex import EVEN_SLOTS, NSLOTS, SLOT_OF
+from .multiindex import EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
 
 #: The relative tolerance of `Momentum.on_shell`, the one shell test: it
 #: decides which momenta `solution_basis` accepts, and which get a solution
@@ -89,9 +89,12 @@ def _kind_sign(kind: str) -> int:
 
 
 def _wave(kind: str, momentum: Momentum, box: LatticeBox) -> np.ndarray:
-    """psi_k + i phi_k = prod_mu (1 +/- i p_mu)^(k_mu) on the box."""
+    """psi_k + i phi_k = prod_mu (1 +/- i p_mu)^(k_mu) on the box.
+
+    Built axis by axis from a single 1, so only the last multiply covers the
+    whole box; each point still computes ((((1 * f0) * f1) * f2) * f3)."""
     sgn = _kind_sign(kind)
-    w = np.ones(box.extents, dtype=np.complex128)
+    w = np.ones((1, 1, 1, 1), dtype=np.complex128)
     for mu, (n, p) in enumerate(zip(box.extents, momentum.p)):
         factor = (1.0 + sgn * 1j * p) ** np.arange(n)
         shape = [1, 1, 1, 1]
@@ -237,18 +240,26 @@ def solution(kind: str, momentum: Momentum, amplitude: EvenAmplitude,
     The wave form is psi_k x + phi_k e12, so A * wave = psi_k A + phi_k (A e12):
     two broadcasts of constant coefficient vectors, the same numbers as the
     general ``clifford_mul`` (whose other terms all multiply by zero).  A and
-    A e12 are even, so only the 8 even slots are written; the odd ones stay
-    exactly zero even where the wave overflows.
+    A e12 are even, so only the 8 even slots are computed, reading the
+    wave's real and imaginary parts as contiguous copies held, with the
+    scratch, in three odd slots of the result; the complex wave is dropped
+    first, so nothing beside the result outlives it.  The odd slots are then
+    set to exactly zero, even where the wave overflows.
     """
     coeffs = amplitude.as_cochain(_POINT)
     coeffs_e12 = mul_basis_right(coeffs, (1, 2))
     w = _wave(kind, momentum, box)
-    data = np.zeros((NSLOTS,) + box.extents)
-    term = np.empty(box.extents)
+    data = np.empty((NSLOTS,) + box.extents)
+    re, im, term = (data[s] for s in ODD_SLOTS[:3])
+    np.copyto(re, w.real)
+    np.copyto(im, w.imag)
+    del w
     for s in EVEN_SLOTS:
-        np.multiply(coeffs.data[s], w.real, out=data[s])
-        np.multiply(coeffs_e12.data[s], w.imag, out=term)
+        np.multiply(coeffs.data[s], re, out=data[s])
+        np.multiply(coeffs_e12.data[s], im, out=term)
         data[s] += term
+    for s in ODD_SLOTS:
+        data[s] = 0.0
     return Cochain(box, data, "real")
 
 

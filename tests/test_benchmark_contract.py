@@ -81,7 +81,9 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     strictly nested in one thread.  So while the slot engine shares a 16^4
     DK residual's lines with a second thread, every call of a traced name
     comes from the caller's; only the engine's own `accumulate` runs on
-    both."""
+    both.  Each route starts its own worker, and a later worker may or may
+    not get an earlier one's thread ident, so the threads are counted per
+    route."""
     traced = []
     for layer, names in _constant(_tree("spans.py"), "LAYERS").items():
         module = importlib.import_module(f"ddirac.{layer}")
@@ -104,10 +106,12 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(calculus, "_workers", lambda: 2)
     omega = ddirac.random_cochain(ddirac.LatticeBox((16, 16, 16, 16)),
                                   np.random.default_rng(3))
-    ddirac.dk_residual_operator(omega, 1.3)
-    ddirac.dk_residual_stencil(omega, 1.3)
-    assert traced and set(traced) == {threading.get_ident()}
-    assert len(set(engine)) == 2
+    caller = threading.get_ident()
+    for route in (ddirac.dk_residual_operator, ddirac.dk_residual_stencil):
+        engine.clear()
+        route(omega, 1.3)
+        assert len(set(engine)) == 2 and caller in engine
+    assert traced and set(traced) == {caller}
 
 
 def test_every_workload_box_builds():

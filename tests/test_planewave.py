@@ -8,8 +8,10 @@ from ddirac.calculus import delta_mu
 from ddirac.clifford import clifford_mul, mul_basis_right, unit_form
 from ddirac.equations import hestenes_residual_operator
 from ddirac.lattice import LatticeBox
-from ddirac.multiindex import ODD_SLOTS
+from ddirac.multiindex import EVEN_SLOTS, NSLOTS, ODD_SLOTS
 from ddirac.planewave import (
+    E12_SLOT,
+    X_SLOT,
     EvenAmplitude,
     Momentum,
     amplitude_from_minus,
@@ -279,6 +281,53 @@ def test_solution_is_amplitude_times_wave(rng):
                 direct = clifford_mul(amp.as_cochain(box), psi(kind, mom, box))
                 assert sol.scalar_kind == "real" and sol.data.dtype == np.float64
                 assert np.array_equal(sol.data, direct.data)
+
+
+def _whole_box_wave(kind, mom, extents):
+    """The wave with every axis factor multiplied into a full-box array of
+    ones: the same product at each point, made the long way."""
+    sgn = 1 if kind == "plus" else -1
+    w = np.ones(extents, dtype=np.complex128)
+    for mu, (n, p) in enumerate(zip(extents, mom.p)):
+        shape = [1, 1, 1, 1]
+        shape[mu] = n
+        w = w * ((1.0 + sgn * 1j * p) ** np.arange(n)).reshape(shape)
+    return w
+
+
+@pytest.mark.parametrize("extents", [(4, 3, 2, 5), (1, 5, 1, 3), (6, 1, 7, 2),
+                                     (1, 1, 1, 1), (1, 1, 9, 1)])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_psi_and_solution_bytes_match_the_whole_box_product(rng, extents, kind):
+    """Byte for byte, so signed zeros count, where `np.array_equal` above
+    cannot see them: `psi` and `solution` against the whole-box wave, its
+    parts written into a zeroed form and each even slot of the solution
+    taken as A_s * psi + (A e12)_s * phi.  Among the momenta are one at
+    rest, whose wave has signed-zero imaginary parts, and one whose wave
+    overflows; among the amplitudes, one with signed-zero coefficients."""
+    box = LatticeBox(extents)
+    momenta = (_random_momenta(rng, 2) + _random_momenta(rng, 2, on_shell=False)
+               + [Momentum.on_shell_from_spatial(1.0, (0.0, 0.0, 0.0), -1),
+                  Momentum(0.5, (3e100, -2e100, 0.0, 1e100))])
+    point = LatticeBox((1, 1, 1, 1))
+    for mom in momenta:
+        with np.errstate(all="ignore"):
+            w = _whole_box_wave(kind, mom, extents)
+            want = np.zeros((NSLOTS,) + extents)
+            want[X_SLOT], want[E12_SLOT] = w.real, w.imag
+            assert psi(kind, mom, box).data.tobytes() == want.tobytes()
+            amps = [EvenAmplitude(*rng.uniform(-1, 1, 8)),
+                    EvenAmplitude(-0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0, -0.0)]
+            if mom.on_shell():
+                amps += solution_basis(kind, mom)
+            for amp in amps:
+                coeffs = amp.as_cochain(point)
+                coeffs_e12 = mul_basis_right(coeffs, (1, 2)).data
+                want = np.zeros((NSLOTS,) + extents)
+                for s in EVEN_SLOTS:
+                    want[s] = coeffs.data[s] * w.real + coeffs_e12[s] * w.imag
+                got = solution(kind, mom, amp, box).data
+                assert got.tobytes() == want.tobytes()
 
 
 def test_unit_wave_at_origin():

@@ -150,6 +150,42 @@ def test_hestenes_operator_route_equals_composed_definition_bit_for_bit(
     _assert_same_bits_but_nan_payloads(got, composed)
 
 
+@pytest.mark.parametrize("extents", [(3, 1, 4, 2), (5, 5, 5, 5), (16, 16, 16, 8)])
+@pytest.mark.parametrize("odd", ["+0.0", "mixed"])
+def test_hestenes_operator_route_runs_only_its_odd_lines(monkeypatch, extents, odd):
+    """On an even form the operator route sums the d_c and codifferential
+    terms of its 8 odd output slots only, one `accumulate` call for each
+    group: 16 calls, where running all 16 lines took 24.  The even slots
+    it writes directly hold the composed form's bytes with +0.0, or +-0.0
+    at random, in the odd input slots; the test above plants only -0.0.
+    The (16, 16, 16, 8) box has 256 KiB slots, so its lines are split."""
+    rng = np.random.default_rng(11)
+    data = _data(extents, "real", 11)
+    odd_shape = (len(ODD_SLOTS),) + extents
+    data[list(ODD_SLOTS)] = (0.0 if odd == "+0.0"
+                             else np.where(rng.random(odd_shape) < 0.5, 0.0, -0.0))
+    w = Cochain(LatticeBox(extents), data, scalar_kind="real")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return accumulate(*args)
+
+    monkeypatch.setattr(calculus, "accumulate", counted)
+    monkeypatch.setattr(calculus, "_workers", lambda: 2)
+    m = 0.7
+    got = hestenes_residual_operator(w, m).residual.data
+    assert len(calls) == 16 and all(calls)
+    dirac = reference_apply_stencil(data, DC_STENCIL)
+    dirac += reference_apply_stencil(data, CODIFF_STENCIL)
+    composed = mul_basis_right(w.like(dirac), (1, 2)).data
+    mass = mul_basis_right(w, (0,)).data
+    mass *= m
+    composed += mass
+    np.negative(composed, out=composed)
+    assert got.tobytes() == composed.tobytes()
+
+
 def _edge_points(extents, rng):
     """A sparse random choice of the far-face points (k_mu = N_mu - 1) and
     next-row points (k_mu = 0 past the first row along mu - 1), for mu >= 1:
