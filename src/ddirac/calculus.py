@@ -105,11 +105,7 @@ SPLIT_BYTES = 256 * 2**10
 
 
 def _workers() -> int:
-    """Threads one stencil call may use: min(2, CPUs this process may run
-    on), and 1 under NumPy 1.x, whose error state is per thread and would not
-    follow the work into a second thread."""
-    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
-        return 1
+    """Threads one stencil call may use: min(2, CPUs this process may run on)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity off Linux
@@ -175,13 +171,14 @@ def apply_stencil(data: np.ndarray, stencil, second=None, dtype=None,
     if not split:
         _run_lines(lines, data, out, buffers[0], finish)
         return out
-    errors = []
+    error = None
 
     def work():
+        nonlocal error
         try:
             _run_lines(lines[1::2], data, out, buffers[1], finish)
         except BaseException as exc:  # handed to the caller, which raises it
-            errors.append(exc)
+            error = exc
 
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     worker.start()
@@ -189,8 +186,8 @@ def apply_stencil(data: np.ndarray, stencil, second=None, dtype=None,
         _run_lines(lines[0::2], data, out, buffers[0], finish)
     finally:
         worker.join()
-    if errors:
-        raise errors[0]
+    if error is not None:
+        raise error
     return out
 
 

@@ -7,23 +7,23 @@ independent and must agree; that cross-check is the main correctness test.
 
 All four routes run on the slot engine `calculus.apply_stencil`, the DK
 routes on all 16 output slots, the Hestenes routes on the 8 odd ones (their
-even slots are known zeros).  Each slot is summed, finished with the route's
-own arithmetic (the factor i and the mass term, or the Clifford signs), and
-reduced to its interior and reference maxima while it is still in cache; at
-16^4 complex the slots are shared between two threads (see `calculus`).  The
-results are bit-identical to whole-array arithmetic in the same order.
+even slots are known zeros).  Each slot is summed and finished with the
+route's own arithmetic (the factor i and the mass term, or the Clifford
+signs); at 16^4 complex the slots are shared between two threads (see
+`calculus`).  The results are bit-identical to whole-array arithmetic in the
+same order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import CODIFF_STENCIL, DC_STENCIL, apply_stencil
 from .clifford import _shuffle_map, build_table
-from .lattice import Cochain, interior_slices
+from .lattice import Cochain
 from .multiindex import ALL_INDEXES, EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
@@ -31,57 +31,35 @@ TINY = 1e-300
 
 @dataclass(frozen=True)
 class EquationResidual:
-    """Residual field plus scalar summary over the evaluated region.
-    `scale` is the input's largest magnitude (at least TINY), the divisor of
-    `rel`; it is not part of the report."""
+    """Residual field plus `scale`, its input's largest magnitude (at least
+    TINY) and the divisor of `rel`; `scale` is not part of the report.
+    `max_abs` is taken on its first read, over the depth-1 interior `region`
+    where every forward difference stays inside the box, and is NaN where
+    that interior is empty.  The record holds no reference to the input."""
 
     residual: Cochain
-    max_abs: float
-    rel: float
-    region: tuple[int, ...]
     scale: float
+
+    @cached_property
+    def max_abs(self) -> float:
+        return self.residual.max_abs(1)
+
+    @property
+    def rel(self) -> float:
+        return self.max_abs / self.scale
+
+    @property
+    def region(self) -> tuple[int, ...]:
+        return self.residual.box.interior_extents(1)
 
     def to_dict(self) -> dict:
         return {"max_abs": self.max_abs, "rel": self.rel, "region": list(self.region)}
 
 
-def _floats(buf: np.ndarray, shape) -> np.ndarray:
-    """A float64 array of `shape` on the front of the contiguous `buf`."""
-    return buf.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
-
-
-def _residual(omega: Cochain, stencil, second, dtype, end_line) -> EquationResidual:
-    """Run a residual route on the slot engine and summarize it on the
-    depth-1 interior, where every forward difference stays inside the box.
-
-    ``end_line(slot, acc, scratch)`` applies the route's own arithmetic to
-    the summed slot and returns the input slot of the reference term it read.
-    The slot's interior maximum and that input slot's maximum are taken next,
-    in the worker's scratch.  Only the stencils' slots are lines: on the even
-    input of a Hestenes route, the 8 odd result slots.  A result slot with no
-    line holds only zeros (signed ones, which the operator route writes after
-    the engine), and an input slot that no line reads is zero, so the maxima
-    over the others are those over the whole arrays; an empty interior gives
-    a NaN `max_abs` and `rel`."""
-    data = omega.data
-    region = omega.box.interior_extents(1)
-    inner = interior_slices(1)[1:] if all(region) else None
-    res_max, ref_max = [], []
-    floats = {}  # per worker's scratch: its float64 views for the two maxima
-
-    def finish(slot, acc, scratch):
-        ref = end_line(slot, acc, scratch)
-        if id(scratch) not in floats:
-            floats[id(scratch)] = (_floats(scratch, region), _floats(scratch, acc.shape))
-        res_floats, ref_floats = floats[id(scratch)]
-        if inner is not None:
-            res_max.append(np.abs(acc[inner], out=res_floats).max())
-        ref_max.append(np.abs(data[ref], out=ref_floats).max())
-
-    out = apply_stencil(data, stencil, second, dtype, finish)
-    max_abs = float(np.max(res_max)) if inner is not None else float("nan")
-    scale = max(float(np.max(ref_max)), TINY)
-    return EquationResidual(omega.like(out), max_abs, max_abs / scale, region, scale)
+def _residual(omega: Cochain, out: np.ndarray) -> EquationResidual:
+    """`out`, made by a route from `omega` on the slot engine, as a residual
+    with `omega`'s scale."""
+    return EquationResidual(omega.like(out), max(omega.max_abs(), TINY))
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -125,9 +103,9 @@ def _dk_residual(omega: Cochain, m: float, stencil, second) -> EquationResidual:
         acc *= 1j
         np.multiply(m, data[slot], out=scratch)
         acc -= scratch
-        return slot
 
-    return _residual(omega, stencil, second, np.complex128, end_line)
+    out = apply_stencil(data, stencil, second, np.complex128, end_line)
+    return _residual(omega, out)
 
 
 def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
@@ -230,23 +208,20 @@ def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
             np.negative(scratch, out=scratch)
         acc += scratch
         np.negative(acc, out=acc)
-        return src0
 
-    result = _residual(omega_ev, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
+    out = apply_stencil(data, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
     # An even slot s of the composed form: its D sum is +0.0 (no term), made
     # -0.0 by the e12 sign where that negates; the mass term z = +-(x * m)
     # reads x = omega[src0], an odd slot and so +-0.0 (check_even_real).
     # Then -(+0.0 + z) = -0.0 whatever z's sign, and -(-0.0 + z) = -z,
     # which is x * m where the e0 map negates and x * -m where it does not.
-    # These zeros leave both maxima as they are.
-    out = result.residual.data
     for s in EVEN_SLOTS:
         neg12, src0, neg0 = _HESTENES_SIGNS[s]
         if neg12:
             np.multiply(data[src0], m if neg0 else -m, out=out[s])
         else:
             out[s].fill(-0.0)
-    return result
+    return _residual(omega_ev, out)
 
 
 def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
@@ -265,6 +240,6 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
         # sign_c * (line - m x) rounds exactly as sign_c * line - (sign_c m) x
         np.multiply(data[rhs], sign_c * m, out=scratch)
         acc -= scratch
-        return rhs
 
-    return _residual(omega_ev, _HESTENES_E0_STENCIL, None, None, end_line)
+    out = apply_stencil(data, _HESTENES_E0_STENCIL, None, None, end_line)
+    return _residual(omega_ev, out)

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -257,8 +259,12 @@ def test_off_shell_control_fails_when_it_does_not_discriminate(runner, monkeypat
     operator = ddirac.cli.hestenes_residual_operator
 
     def no_residual(omega, m):
-        res = operator(omega, m)
-        return dataclasses.replace(res, rel=rel)
+        # rel is max_abs / scale, which an infinite scale makes 0.0 and a NaN
+        # scale NaN
+        res = dataclasses.replace(operator(omega, m),
+                                  scale=math.inf if rel == 0.0 else math.nan)
+        assert res.rel == rel or math.isnan(res.rel) and math.isnan(rel)
+        return res
 
     monkeypatch.setattr(ddirac.cli, "hestenes_residual_operator", no_residual)
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
@@ -447,8 +453,11 @@ def test_planewave_fails_on_stencil_residual(runner, monkeypatch):
     stencil = ddirac.cli.hestenes_residual_stencil
 
     def off_by_one(omega, m):
+        # a stand-in with the residual's attributes, since rel = max_abs /
+        # scale has no finite scale giving 1.0 on a zero max_abs
         res = stencil(omega, m)
-        return dataclasses.replace(res, rel=1.0)
+        return types.SimpleNamespace(residual=res.residual, scale=res.scale,
+                                     max_abs=res.max_abs, rel=1.0, region=res.region)
 
     monkeypatch.setattr(ddirac.cli, "hestenes_residual_stencil", off_by_one)
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])

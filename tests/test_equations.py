@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from ddirac.equations import (
     hestenes_residual_operator,
     hestenes_residual_stencil,
 )
-from ddirac.lattice import LatticeBox, random_cochain
+from ddirac.lattice import Cochain, LatticeBox, random_cochain
 from ddirac.multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
 #: The four residual routes, each with the random_cochain arguments of a
@@ -85,6 +87,52 @@ def test_summary_carries_the_input_scale(rng, box4, route, kwargs):
     assert res.scale == w.max_abs()
     assert res.rel == res.max_abs / res.scale
     assert "scale" not in res.to_dict()
+
+
+#: The reads of a residual's summary, each of which takes `max_abs`.
+SUMMARY_READS = {
+    "max_abs": lambda res: res.max_abs,
+    "rel": lambda res: res.rel,
+    "to_dict": lambda res: res.to_dict(),
+}
+
+
+@pytest.mark.parametrize("read", SUMMARY_READS)
+@pytest.mark.parametrize("route, kwargs", ROUTES)
+def test_summary_is_reduced_once_on_first_read(rng, box4, monkeypatch, route, kwargs,
+                                               read):
+    """A route reduces only its input, for the scale; the residual's interior
+    maximum is taken on the first read of the summary, and only then."""
+    w = random_cochain(box4, rng, **kwargs)
+    depths = []
+    max_abs = Cochain.max_abs
+
+    def counted(self, depth=0):
+        depths.append(depth)
+        return max_abs(self, depth)
+
+    monkeypatch.setattr(Cochain, "max_abs", counted)
+    res = route(w, 1.3)
+    assert depths == [0]
+    SUMMARY_READS[read](res)
+    assert depths == [0, 1]
+    for again in SUMMARY_READS.values():
+        again(res)
+    assert depths == [0, 1]
+    monkeypatch.undo()
+    assert res.max_abs == res.residual.max_abs(1)
+
+
+@pytest.mark.parametrize("route, kwargs", ROUTES)
+def test_residual_keeps_no_reference_to_its_input(rng, box4, route, kwargs):
+    """The scale is taken when the route runs, so the input is freed as soon
+    as its caller drops it, and the summary can still be read."""
+    w = random_cochain(box4, rng, **kwargs)
+    data = weakref.ref(w.data)
+    res = route(w, 1.3)
+    del w
+    assert data() is None
+    assert np.isfinite(res.rel)
 
 
 def test_hestenes_stencil_covers_even_components():
