@@ -8,7 +8,7 @@ not use are simply zero, so homogeneous and inhomogeneous forms share one
 representation.
 
 A real-kind cochain is checked for imaginary parts only where complex data
-enters it (``from_components``, a caller's array); arithmetic on real-kind
+enters it, a caller's array given to the constructor; arithmetic on real-kind
 cochains stays float64 and is never re-scanned.  A cochain file is a one-line
 JSON header and then the raw float64 bytes of each stored slot, which `save`
 writes from the array and `load` reads into the result, so neither makes a
@@ -22,9 +22,9 @@ the algebraic operator identities are exact on the whole box.  Data that is
 not compactly supported, such as a plane wave, satisfies a difference
 equation only where each forward difference stays inside the box, so every
 residual is judged on the depth-1 interior (`LatticeBox.interior_extents`).
-`BoundaryPolicy` matters only to the chain oracle (`ddirac.chains`): under
-``INTERIOR`` a chain that leaves the box is an error, under ``ZERO_EXTEND``
-its off-box cells pair to zero.
+`BoundaryPolicy` is read only by `chains.boundary(box=...)` and
+`chains.pair`: under ``INTERIOR`` a chain that leaves the box is an error,
+under ``ZERO_EXTEND`` its off-box cells pair to zero.
 
 On glibc, importing this module sets two malloc thresholds once, so that the
 memory of a freed cochain stays in the process heap and the next cochain
@@ -190,14 +190,6 @@ class Cochain:
     @classmethod
     def zeros(cls, box, scalar_kind="complex") -> "Cochain":
         return cls(box, None, scalar_kind)
-
-    @classmethod
-    def from_components(cls, box, components: dict, scalar_kind="complex") -> "Cochain":
-        """Build from a {multi-index: array-or-scalar} mapping."""
-        out = np.zeros((NSLOTS,) + box.extents, dtype=np.complex128)
-        for mi, values in components.items():
-            out[SLOT_OF[validate(mi)]] = values
-        return cls(box, out, scalar_kind)
 
     def like(self, data, tilde=None) -> "Cochain":
         """A cochain on this box holding `data`, of the kind of its dtype."""

@@ -5,16 +5,16 @@ row of ``ddirac verify-calculus`` and the benchmark's `dk-random` workload.
 
 Everything here is assembled from first principles -- dense matrices built by
 exhaustive chain enumeration, a gamma-matrix model of the Clifford table, and
-an explicit chain-level boundary term for the Green formula.  Beyond the
-type layer, two pieces are shared with the fast paths: `green_boundary_term`
-applies `calculus.star`, so a fault in the star reaches both sides of the
-Green comparison, and `assemble_left_mult` reads the product table, which
-`gamma_model_check` checks against the gamma matrices.
+an explicit chain-level boundary term for the Green formula: the boundary of
+one cell's volume chain, built from `ddirac.chains` once per degree at
+import and tiled over the box.  Beyond the type layer, two pieces are shared
+with the fast paths: `green_boundary_term` applies `calculus.star`, so a
+fault in the star reaches both sides of the Green comparison, and
+`assemble_left_mult` reads the product table, which `gamma_model_check`
+checks against the gamma matrices.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +38,6 @@ def flat_index(box: LatticeBox, mi, k) -> int:
     """Row/column index of component (mi, k) in the flattened layout, matching
     Cochain.data.reshape(-1)."""
     return SLOT_OF[tuple(mi)] * box.npoints + int(np.ravel_multi_index(k, box.extents))
-
-
-def flatten(cochain: Cochain) -> np.ndarray:
-    return cochain.data.reshape(-1)
 
 
 def assemble_dc(box: LatticeBox) -> np.ndarray:
@@ -182,21 +178,6 @@ def gamma_product(a: Cochain, b: Cochain) -> Cochain:
 
 # --- chain-level Green boundary term ------------------------------------------
 
-def _volume_chain(box: LatticeBox, degree: int) -> dict:
-    """The diagonal volume chain of one degree, {((k, dirs), (k~, dirs~)):
-    coefficient} in the tensor product of the complex with its double: over
-    box points and multi-indices, (cell) tensor (its signed dual cell)."""
-    out: dict[tuple, int] = {}
-    for mi in ALL_INDEXES:
-        if len(mi) != degree:
-            continue
-        for k in np.ndindex(box.extents):
-            dual = chain_star(basis_chain(k, mi))
-            ((kk, comp),) = dual.terms.keys()
-            add_term(out, ((k, mi), (kk, comp)), dual.terms[(kk, comp)])
-    return out
-
-
 def _product_boundary(chain: dict) -> dict:
     """Graded boundary of a product chain: boundary of the left factor plus
     (-1)^(left degree) times the boundary of the right factor."""
@@ -220,50 +201,59 @@ def _degree_part(cochain: Cochain, degree: int) -> Cochain:
     return cochain.like(out)
 
 
-@lru_cache(maxsize=16)
-def _volume_boundary_index(extents: tuple[int, ...], degree: int) -> tuple[np.ndarray, ...]:
-    """The boundary of the degree-d volume chain as index arrays, one entry
-    per term: (coefficient, left slot, left flat point, right slot, right
-    flat point), with flat point -1 for a point off the box."""
-    box = LatticeBox(extents)
+def _boundary_pattern(degree: int) -> tuple[np.ndarray, ...]:
+    """Boundary of the degree-d volume chain (each cell tensor its signed
+    dual cell) at the origin: coefficient, left slot, left point, right slot
+    and right point, each (cells, 1, 8 terms), a point being 4 such arrays,
+    the origin or one step along an axis.  Each cell has 8 terms and none
+    cancels, so tiled over a box this gives the box-wide chain's terms in
+    (cell, point, term) order."""
+    origin = (0, 0, 0, 0)
+    volume = {}
+    for mi in ALL_INDEXES:
+        if len(mi) == degree:
+            ((dual, coeff),) = chain_star(basis_chain(origin, mi)).terms.items()
+            volume[((origin, mi), dual)] = coeff
+    rows = [(coeff, SLOT_OF[mi], *k, SLOT_OF[mit], *kt)
+            for ((k, mi), (kt, mit)), coeff in _product_boundary(volume).items()]
+    table = np.moveaxis(np.array(rows, dtype=np.intp).reshape(len(volume), 1, 8, 11), -1, 0)
+    table.flags.writeable = False
+    return table[0], table[1], table[2:6], table[6], table[7:]
 
-    def flat(k):
-        return int(np.ravel_multi_index(k, extents)) if box.contains(k) else -1
 
-    rows = [(coeff, SLOT_OF[mi], flat(k), SLOT_OF[mit], flat(kt))
-            for ((k, mi), (kt, mit)), coeff
-            in _product_boundary(_volume_chain(box, degree)).items()]
-    columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T.copy()
-    columns.flags.writeable = False
-    return tuple(columns)
+_BOUNDARY_PATTERNS = tuple(_boundary_pattern(d) for d in range(5))
 
 
-def _padded(cochain: Cochain) -> np.ndarray:
-    """(16, npoints + 1) copy of the data whose last column, the one flat
-    point -1 reads, is zero."""
-    flat = cochain.data.reshape(NSLOTS, -1)
-    out = np.zeros((NSLOTS, flat.shape[1] + 1), dtype=flat.dtype)
-    out[:, :-1] = flat
-    return out
+def _zero_extended(cochain: Cochain) -> np.ndarray:
+    """(16, points) copy of the data with one zero point more at the far end
+    of each axis, where a step off the box reads."""
+    out = np.zeros((NSLOTS, *(n + 1 for n in cochain.box.extents)), cochain.data.dtype)
+    out[(slice(None), *map(slice, cochain.box.extents))] = cochain.data
+    return out.reshape(NSLOTS, -1)
 
 
 def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
     """Boundary term of the Green formula evaluated at the chain level:
     for each degree r, pair the boundary of the degree-r volume chain with
-    (degree r-1 part of phi) tensor star(conj(degree r part of omega))."""
+    (degree r-1 part of phi) tensor star(conj(degree r part of omega)).
+    Each volume chain's boundary is one cell's pattern tiled over the box."""
     extents = phi.box.extents
+    padded = tuple(n + 1 for n in extents)
+    points = np.ravel_multi_index(np.indices(extents).reshape(4, -1), padded)[:, None]
     total = 0.0 + 0.0j
     for r in range(1, 5):
         phi_r = _degree_part(phi, r - 1)
         omega_r = _degree_part(omega, r)
         if not (np.any(phi_r.data) and np.any(omega_r.data)):
             continue
-        left = _padded(phi_r)
-        right = _padded(star(omega_r.like(np.conj(omega_r.data))))
+        left = _zero_extended(phi_r)
+        right = _zero_extended(star(omega_r.like(np.conj(omega_r.data))))
         # both diagonal volume chains can shed terms of bidegree (r-1, 4-r):
         # the left-factor boundary of the degree-r chain and the right-factor
         # boundary of the degree-(r-1) chain
         for vol_degree in (r - 1, r):
-            coeff, mi, k, mit, kt = _volume_boundary_index(extents, vol_degree)
+            coeff, mi, k, mit, kt = _BOUNDARY_PATTERNS[vol_degree]
+            k = points + np.ravel_multi_index(k, padded)
+            kt = points + np.ravel_multi_index(kt, padded)
             total += np.sum(coeff * left[mi, k] * right[mit, kt])
     return complex(total)

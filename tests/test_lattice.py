@@ -131,14 +131,6 @@ def test_mismatched_operands_raise(rng):
         a + c.like(c.data, tilde=True)
 
 
-def test_from_components_broadcasts_scalars():
-    box = LatticeBox((2, 2, 2, 2))
-    w = Cochain.from_components(box, {(1, 2): 3.0, (): -1.0}, scalar_kind="real")
-    assert np.all(w.component((1, 2)) == 3.0)
-    assert np.all(w.component(()) == -1.0)
-    assert w.max_abs() == 3.0
-
-
 @given(st.integers(0, 4), st.integers(0, 1000))
 @settings(max_examples=25, deadline=None)
 def test_max_abs_interior_never_exceeds_full(degree, seed):
@@ -198,7 +190,7 @@ def test_storage_dtype_follows_scalar_kind(rng):
     for kind, dtype in (("real", np.float64), ("complex", np.complex128)):
         assert Cochain.zeros(box, kind).data.dtype == dtype
         assert random_cochain(box, rng, scalar_kind=kind).data.dtype == dtype
-        assert Cochain.from_components(box, {(0, 1): 2.0}, kind).data.dtype == dtype
+        assert Cochain(box, np.full((16,) + box.extents, 2.0 + 0.0j), kind).data.dtype == dtype
         assert Cochain(box, np.ones((16,) + box.extents), kind).data.dtype == dtype
 
 
