@@ -139,11 +139,12 @@ def apply_stencil(data: np.ndarray, stencil, second=None, dtype=None,
     output slot: {target multi-index: [(sign, direction mu, source
     multi-index), ...]}, with each sign +1 or -1 (see `accumulate`).
 
-    The result has `data`'s shape and `dtype` (default `data`'s), zero in
-    slots no stencil names.  Each named slot is one line, run start to end by
-    one worker: its `stencil` terms, summed in place; then, if `second` has
-    terms for it, those summed in a slot of scratch and added, so a sum that
-    starts at +0.0 rounds as two whole-array sums added; then
+    The result has `data`'s shape and `dtype` (default `data`'s), +0.0 in
+    slots no stencil names (so the Hestenes residuals' even slots).  Each
+    named slot is one line, run start to end by one worker: its `stencil`
+    terms, summed in place; then, if `second` has terms for it, those summed
+    in a slot of scratch and added, so a sum that starts at +0.0 rounds as
+    two whole-array sums added; then
     ``finish(slot, acc, scratch)``, where `acc` is the result's slot and
     `scratch` a slot of `data`'s dtype that the worker owns and no longer
     needs.  A line is summed in `data`'s dtype, so a real input's sums are

@@ -277,12 +277,12 @@ def verify_calculus(extents, seed, out, format, trials):
         for r in range(5):
             w = random_cochain(box, rng, degrees={r})
             scale = max(w.max_abs(), TINY)
+            delta = codifferential(w)
             worst_dd = _worst(worst_dd, d_c(d_c(w)).max_abs() / scale)
-            worst_deldel = _worst(worst_deldel,
-                                  codifferential(codifferential(w)).max_abs() / scale)
+            worst_deldel = _worst(worst_deldel, codifferential(delta).max_abs() / scale)
             worst_cross = _worst(
                 worst_cross,
-                (codifferential(w) - codifferential(w, "composite")).max_abs() / scale)
+                (delta - codifferential(w, "composite")).max_abs() / scale)
     report.add("calculus", "nilpotency_dc", worst_dd <= CROSS_TOL, rel=worst_dd)
     report.add("calculus", "nilpotency_codifferential", worst_deldel <= CROSS_TOL,
                rel=worst_deldel)

@@ -7,11 +7,14 @@ independent and must agree; that cross-check is the main correctness test.
 
 All four routes run on the slot engine `calculus.apply_stencil`, the DK
 routes on all 16 output slots, the Hestenes routes on the 8 odd ones (their
-even slots are known zeros).  Each slot is summed and finished with the
-route's own arithmetic (the factor i and the mass term, or the Clifford
-signs); at 16^4 complex the slots are shared between two threads (see
-`calculus`).  The results are bit-identical to whole-array arithmetic in the
-same order.
+even slots are known zeros, left at the engine's +0.0).  Each slot is summed
+and finished with the route's own arithmetic: the factor i and the mass term
+for DK, and for Hestenes the mass term alone, in one finish shared by both
+routes, the Clifford signs being folded into their term tables.  At 16^4
+complex the slots are shared between two threads (see `calculus`).  The DK
+results are bit-identical to whole-array arithmetic in the same order; the
+Hestenes results equal it value for value, the sign of an exact zero aside,
+which no summary reads (each takes |.|).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .calculus import CODIFF_STENCIL, DC_STENCIL, apply_stencil
 from .clifford import _shuffle_map, build_table
 from .lattice import Cochain
-from .multiindex import ALL_INDEXES, EVEN_SLOTS, NSLOTS, ODD_SLOTS, SLOT_OF
+from .multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
 
@@ -160,68 +163,58 @@ def check_even_real(omega: Cochain):
         raise ValueError("Hestenes input must have even-degree components only")
 
 
-def _hestenes_operator_lines() -> tuple[dict, dict, tuple]:
+def _hestenes_operator_lines() -> tuple[dict, dict, dict]:
     """Per odd output slot s of -(D Omega_ev) e12 - m Omega_ev e0: the d_c
     and codifferential terms of the slot that right-multiplication by e12
-    sends to s, as two stencils keyed by s's multi-index; and per slot of all
-    16 whether that map negates it, and the e0 map's source slot and
-    negation.  Terms that read odd slots are dropped: on an even form they
-    read only zeros, and adding a zero leaves a sum that started at +0.0
-    unchanged, so the result is bit-identical.  That leaves no term for an
-    even output slot, whose value `hestenes_residual_operator` writes
-    directly."""
+    sends to s, with the sign of -e12 folded into each, as two stencils
+    keyed by s's multi-index; and s's mass term, the sign of -e0 and its
+    source slot.  Terms that read odd slots are dropped: on an even form
+    they read only zeros, which leave a sum that started at +0.0 unchanged.
+    That leaves no term for an even output slot, which the engine leaves at
+    +0.0."""
     src12, neg12 = _shuffle_map((1, 2), "right")
     src0, neg0 = _shuffle_map((0,), "right")
 
     def even_terms(stencil, s):
-        return tuple(t for t in stencil.get(ALL_INDEXES[src12[s]], ())
-                     if SLOT_OF[t[2]] in EVEN_SLOTS)
+        fold = +1 if s in neg12 else -1
+        return tuple((fold * sign, mu, src)
+                     for sign, mu, src in stencil.get(ALL_INDEXES[src12[s]], ())
+                     if SLOT_OF[src] in EVEN_SLOTS)
 
     dc = {ALL_INDEXES[s]: even_terms(DC_STENCIL, s) for s in ODD_SLOTS}
     codiff = {ALL_INDEXES[s]: even_terms(CODIFF_STENCIL, s) for s in ODD_SLOTS}
-    signs = tuple((s in neg12, int(src0[s]), s in neg0) for s in range(NSLOTS))
-    return dc, codiff, signs
+    mass = {s: (-1 if s in neg0 else +1, int(src0[s])) for s in ODD_SLOTS}
+    return dc, codiff, mass
 
 
-_HESTENES_DC, _HESTENES_CODIFF, _HESTENES_SIGNS = _hestenes_operator_lines()
+_HESTENES_DC, _HESTENES_CODIFF, _HESTENES_MASS = _hestenes_operator_lines()
 
 
-def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
-    """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0.
-
-    The 8 odd slots run on the slot engine, with the arithmetic of the
-    composed form: each slot gets the d_c sum, plus the codifferential sum,
-    then the e12 sign, plus the e0-signed m * omega, and is negated, since
-    -(a + b) rounds exactly as -a - b.  The 8 even slots are written after,
-    each in one pass."""
+def _hestenes_residual(omega_ev: Cochain, m: float, stencil, second,
+                       mass_terms) -> EquationResidual:
+    """The residual summed by the 8 odd lines of `stencil` (plus `second`),
+    each finished by subtracting (sign * m) * omega[source], where
+    `mass_terms` maps the line's slot to (sign, source slot).  The signs of
+    a route's Clifford maps are folded into its terms and mass signs: as
+    x - y is x + (-y) and (s x) m is x (s m), each value rounds exactly as
+    with the sign applied after, but an exact zero may take the other
+    sign."""
     check_mass(m)
     check_even_real(omega_ev)
     data = omega_ev.data
 
     def end_line(slot, acc, scratch):
-        neg12, src0, neg0 = _HESTENES_SIGNS[slot]
-        if neg12:
-            np.negative(acc, out=acc)
-        # -(x * m) rounds exactly as (-x) * m
-        np.multiply(data[src0], m, out=scratch)
-        if neg0:
-            np.negative(scratch, out=scratch)
-        acc += scratch
-        np.negative(acc, out=acc)
+        sign, src = mass_terms[slot]
+        np.multiply(data[src], sign * m, out=scratch)
+        acc -= scratch
 
-    out = apply_stencil(data, _HESTENES_DC, _HESTENES_CODIFF, None, end_line)
-    # An even slot s of the composed form: its D sum is +0.0 (no term), made
-    # -0.0 by the e12 sign where that negates; the mass term z = +-(x * m)
-    # reads x = omega[src0], an odd slot and so +-0.0 (check_even_real).
-    # Then -(+0.0 + z) = -0.0 whatever z's sign, and -(-0.0 + z) = -z,
-    # which is x * m where the e0 map negates and x * -m where it does not.
-    for s in EVEN_SLOTS:
-        neg12, src0, neg0 = _HESTENES_SIGNS[s]
-        if neg12:
-            np.multiply(data[src0], m if neg0 else -m, out=out[s])
-        else:
-            out[s].fill(-0.0)
-    return _residual(omega_ev, out)
+    return _residual(omega_ev, apply_stencil(data, stencil, second, None, end_line))
+
+
+def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:
+    """Residual of -(d_c + codifferential)(Omega_ev) e1 e2 = m Omega_ev e0."""
+    return _hestenes_residual(omega_ev, m, _HESTENES_DC, _HESTENES_CODIFF,
+                              _HESTENES_MASS)
 
 
 def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
@@ -231,15 +224,5 @@ def hestenes_residual_stencil(omega_ev: Cochain, m: float) -> EquationResidual:
     sends its right-hand-side component, carrying that map's sign, so the
     stencil residual is slot-for-slot comparable with the operator form.
     """
-    check_mass(m)
-    check_even_real(omega_ev)
-    data = omega_ev.data
-
-    def end_line(slot, acc, scratch):
-        sign_c, rhs = _HESTENES_E0_MASS[slot]
-        # sign_c * (line - m x) rounds exactly as sign_c * line - (sign_c m) x
-        np.multiply(data[rhs], sign_c * m, out=scratch)
-        acc -= scratch
-
-    out = apply_stencil(data, _HESTENES_E0_STENCIL, None, None, end_line)
-    return _residual(omega_ev, out)
+    return _hestenes_residual(omega_ev, m, _HESTENES_E0_STENCIL, None,
+                              _HESTENES_E0_MASS)
