@@ -26,6 +26,7 @@ from .equations import (
     dk_residual_stencil,
     hestenes_residual_operator,
     hestenes_residual_stencil,
+    input_scale,
 )
 from .lattice import BoundaryPolicy, Cochain, LatticeBox, random_cochain
 from .multiindex import enumerate_basis
@@ -73,6 +74,7 @@ __all__ = [
     "hestenes_residual_operator",
     "hestenes_residual_stencil",
     "inner_product",
+    "input_scale",
     "mul_basis_left",
     "mul_basis_right",
     "pair",

@@ -32,15 +32,16 @@ from .calculus import (
 )
 from .clifford import METRIC, clifford_mul, dirac_clifford, unit_form
 from .equations import (
-    TINY,
     check_even_real,
     check_mass,
     dk_residual_operator,
     dk_residual_stencil,
     hestenes_residual_operator,
     hestenes_residual_stencil,
+    input_scale,
 )
 from .lattice import Cochain, LatticeBox, interior_slices, random_cochain
+from .multiindex import ALL_SLOTS, EVEN_SLOTS
 from .planewave import (
     Momentum,
     amplitude_from_minus,
@@ -276,7 +277,7 @@ def verify_calculus(extents, seed, out, format, trials):
     for _ in range(trials):
         for r in range(5):
             w = random_cochain(box, rng, degrees={r})
-            scale = max(w.max_abs(), TINY)
+            scale = input_scale(w)
             delta = codifferential(w)
             worst_dd = _worst(worst_dd, d_c(d_c(w)).max_abs() / scale)
             worst_deldel = _worst(worst_deldel, codifferential(delta).max_abs() / scale)
@@ -340,27 +341,32 @@ def verify_clifford(extents, seed, out, format, trials):
     for _ in range(trials):
         w = random_cochain(box, rng)
         diff = (dirac_clifford(w) - dirac_operator(w)).max_abs(1)
-        worst = _worst(worst, diff / max(w.max_abs(), TINY))
+        worst = _worst(worst, diff / input_scale(w))
     report.add("clifford", "first_order_operator_equivalence", worst <= OPERATOR_EQUIV_TOL,
                rel=worst)
 
     report.emit(format, out)
 
 
-def _judge(omega, mass, operator_fn, stencil_fn):
-    """Both routes' residuals of `omega`, and the largest difference between
-    them on the depth-1 interior: absolute, and relative to `omega`."""
+def _judge(omega, mass, operator_fn, stencil_fn, input_slots):
+    """Both routes' residuals of `omega`; `omega`'s scale, taken over
+    `input_slots` once the routes have checked it; and the largest difference
+    between the residuals on the depth-1 interior, over the slots the routes
+    write."""
     res_op = operator_fn(omega, mass)
     res_st = stencil_fn(omega, mass)
+    scale = input_scale(omega, input_slots)
     # one slot-sized difference at a time; np.max keeps a NaN, as max_abs does
     inner = interior_slices(1)[1:]
-    cross = float(np.max([np.abs(op[inner] - st[inner]).max() for op, st
-                          in zip(res_op.residual.data, res_st.residual.data)]))
-    return res_op, res_st, cross, cross / res_op.scale
+    op, st = res_op.residual.data, res_st.residual.data
+    cross = float(np.max([np.abs(op[s][inner] - st[s][inner]).max()
+                          for s in res_op.slots]))
+    return res_op, res_st, scale, cross
 
 
 def _residual_command(name, extents, seed, out, fmt, mass, input_path,
-                      operator_fn, stencil_fn, random_kwargs, input_check=None):
+                      operator_fn, stencil_fn, random_kwargs, input_check=None,
+                      input_slots=ALL_SLOTS):
     if input_path:
         omega = _load_input(input_path, input_check)
         seed = None
@@ -370,11 +376,15 @@ def _residual_command(name, extents, seed, out, fmt, mass, input_path,
     report = Report(name, {"extents": list(omega.box.extents), "seed": seed,
                            "mass": mass, "input": input_path})
     suite = name.removesuffix("-check")
-    res_op, res_st, cross, cross_rel = _judge(omega, mass, operator_fn, stencil_fn)
+    res_op, res_st, scale, cross = _judge(omega, mass, operator_fn, stencil_fn,
+                                          input_slots)
     for test, res in (("operator_residual", res_op), ("stencil_residual", res_st)):
-        report.add(suite, test, math.isfinite(res.max_abs) and math.isfinite(res.rel),
-                   **res.to_dict())
+        summary = res.to_dict(scale)
+        report.add(suite, test,
+                   math.isfinite(summary["max_abs"]) and math.isfinite(summary["rel"]),
+                   **summary)
     # the exit status rests on this fixed tolerance, so there is no --tol-rel
+    cross_rel = cross / scale
     report.add(suite, "stencil_cross_check", cross_rel <= CROSS_TOL,
                max_abs=cross, rel=cross_rel)
     report.emit(fmt, out)
@@ -395,7 +405,7 @@ def hestenes_check(extents, seed, out, format, mass, input):
     _residual_command("hestenes-check", extents, seed, out, format, mass, input,
                       hestenes_residual_operator, hestenes_residual_stencil,
                       {"scalar_kind": "real", "degrees": {0, 2, 4}},
-                      input_check=check_even_real)
+                      input_check=check_even_real, input_slots=EVEN_SLOTS)
 
 
 def _control_amplitude(kind: str, mom: Momentum):
@@ -449,14 +459,17 @@ def planewave(extents, seed, out, format, mass, p, p0, scan):
             if row["on_shell"]:
                 basis = solution_basis(kind, mom)
                 for j, amp in enumerate(basis):
-                    res_op, res_st, _, cross = _judge(
+                    res_op, res_st, scale, cross = _judge(
                         solution(kind, mom, amp, box), mom.m,
-                        hestenes_residual_operator, hestenes_residual_stencil)
-                    passed = (res_op.rel <= SOLUTION_TOL and res_st.rel <= SOLUTION_TOL
+                        hestenes_residual_operator, hestenes_residual_stencil,
+                        EVEN_SLOTS)
+                    r_op, r_st = res_op.rel(scale), res_st.rel(scale)
+                    cross /= scale
+                    passed = (r_op <= SOLUTION_TOL and r_st <= SOLUTION_TOL
                               and cross <= CROSS_TOL)
                     report.add("planewave", f"{label}/amplitude_{j}", passed, **row,
                                amplitude=amp.as_vector().tolist(),
-                               operator=res_op.rel, stencil=res_st.rel, cross=cross)
+                               operator=r_op, stencil=r_st, cross=cross)
                 rank = basis_rank(basis)
                 report.add("planewave", f"{label}/basis_rank", rank == 4, **row,
                            rank=rank)
@@ -470,8 +483,9 @@ def planewave(extents, seed, out, format, mass, p, p0, scan):
                            amplitude=None, operator=None,
                            note="both coupling denominators are singular")
                 continue
-            r_op = hestenes_residual_operator(solution(kind, mom, amp, box),
-                                              mom.m).rel
+            wave = solution(kind, mom, amp, box)
+            r_op = hestenes_residual_operator(wave, mom.m).rel(
+                input_scale(wave, EVEN_SLOTS))
             # NaN fails too: a control that cannot discriminate shows nothing
             report.add("planewave", f"{label}/off_shell_control", r_op > SOLUTION_TOL,
                        **row, amplitude=amp.as_vector().tolist(), operator=r_op,

@@ -15,6 +15,11 @@ complex the slots are shared between two threads (see `calculus`).  The DK
 results are bit-identical to whole-array arithmetic in the same order; the
 Hestenes results equal it value for value, the sign of an exact zero aside,
 which no summary reads (each takes |.|).
+
+A route reduces nothing: it returns an `EquationResidual`, the field and the
+slots it writes, and its summary reduces only those slots.  The verdict owns
+the scale: it takes its input's `input_scale` once, and passes it to each
+residual's `rel`.
 """
 
 from __future__ import annotations
@@ -27,42 +32,46 @@ import numpy as np
 from .calculus import CODIFF_STENCIL, DC_STENCIL, apply_stencil
 from .clifford import _shuffle_map, build_table
 from .lattice import Cochain
-from .multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
+from .multiindex import ALL_INDEXES, ALL_SLOTS, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
 TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class EquationResidual:
-    """Residual field plus `scale`, its input's largest magnitude (at least
-    TINY) and the divisor of `rel`; `scale` is not part of the report.
-    `max_abs` is taken on its first read, over the depth-1 interior `region`
-    where every forward difference stays inside the box, and is NaN where
-    that interior is empty.  The record holds no reference to the input."""
+    """Residual field plus `slots`, the slots its route writes; every other
+    slot holds the engine's +0.0.  `max_abs` is taken over those slots on its
+    first read, over the depth-1 interior `region` where every forward
+    difference stays inside the box, and is NaN where that interior is empty.
+    `rel` and `to_dict` divide it by the caller's `scale`, the input's
+    `input_scale`, which the verdict takes once per input.  The record holds
+    no reference to the input."""
 
     residual: Cochain
-    scale: float
+    slots: tuple[int, ...]
 
     @cached_property
     def max_abs(self) -> float:
-        return self.residual.max_abs(1)
+        return self.residual.max_abs(1, self.slots)
 
-    @property
-    def rel(self) -> float:
-        return self.max_abs / self.scale
+    def rel(self, scale: float) -> float:
+        return self.max_abs / scale
 
     @property
     def region(self) -> tuple[int, ...]:
         return self.residual.box.interior_extents(1)
 
-    def to_dict(self) -> dict:
-        return {"max_abs": self.max_abs, "rel": self.rel, "region": list(self.region)}
+    def to_dict(self, scale: float) -> dict:
+        return {"max_abs": self.max_abs, "rel": self.rel(scale),
+                "region": list(self.region)}
 
 
-def _residual(omega: Cochain, out: np.ndarray) -> EquationResidual:
-    """`out`, made by a route from `omega` on the slot engine, as a residual
-    with `omega`'s scale."""
-    return EquationResidual(omega.like(out), max(omega.max_abs(), TINY))
+def input_scale(omega: Cochain, slots=ALL_SLOTS) -> float:
+    """The divisor of a residual's `rel`: `omega`'s largest magnitude over
+    `slots`, at least TINY.  A Hestenes input's odd slots are ±0.0 once a
+    route or `check_even_real` has accepted it, so there its `EVEN_SLOTS`
+    give the same number."""
+    return max(omega.max_abs(0, slots), TINY)
 
 
 # --- Dirac-Kahler equation: i * (first-order operator) Omega = m Omega -------
@@ -108,7 +117,7 @@ def _dk_residual(omega: Cochain, m: float, stencil, second) -> EquationResidual:
         acc -= scratch
 
     out = apply_stencil(data, stencil, second, np.complex128, end_line)
-    return _residual(omega, out)
+    return EquationResidual(omega.like(out), ALL_SLOTS)
 
 
 def dk_residual_operator(omega: Cochain, m: float) -> EquationResidual:
@@ -154,12 +163,28 @@ def _moved_to_e0_images(stencil: dict) -> tuple[dict, dict]:
 _HESTENES_E0_STENCIL, _HESTENES_E0_MASS = _moved_to_e0_images(HESTENES_STENCIL)
 
 
+def _runs(slots) -> tuple[slice, ...]:
+    """Ascending `slots` as slices over runs of consecutive slots."""
+    runs = []
+    for s in slots:
+        if runs and runs[-1][1] == s:
+            runs[-1][1] = s + 1
+        else:
+            runs.append([s, s + 1])
+    return tuple(slice(start, stop) for start, stop in runs)
+
+
+#: ODD_SLOTS as two runs of consecutive slots, 1-4 and 11-14.
+ODD_RUNS = _runs(ODD_SLOTS)
+
+
 def check_even_real(omega: Cochain):
     """Raise ValueError unless `omega` is a real-kind even form."""
     if omega.scalar_kind != "real":
         raise ValueError("Hestenes input must be a real-kind cochain")
-    # np.any counts NaN as nonzero, so a NaN odd slot is rejected too
-    if any(np.any(omega.data[s]) for s in ODD_SLOTS):
+    # one reduction per run; np.any counts NaN as nonzero and -0.0 as zero,
+    # so a NaN odd slot is rejected too
+    if any(np.any(omega.data[run]) for run in ODD_RUNS):
         raise ValueError("Hestenes input must have even-degree components only")
 
 
@@ -208,7 +233,8 @@ def _hestenes_residual(omega_ev: Cochain, m: float, stencil, second,
         np.multiply(data[src], sign * m, out=scratch)
         acc -= scratch
 
-    return _residual(omega_ev, apply_stencil(data, stencil, second, None, end_line))
+    out = apply_stencil(data, stencil, second, None, end_line)
+    return EquationResidual(omega_ev.like(out), ODD_SLOTS)
 
 
 def hestenes_residual_operator(omega_ev: Cochain, m: float) -> EquationResidual:

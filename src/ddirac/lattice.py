@@ -44,6 +44,7 @@ import numpy as np
 
 from .multiindex import (
     ALL_INDEXES,
+    ALL_SLOTS,
     NSLOTS,
     SLOT_OF,
     as_string,
@@ -230,15 +231,15 @@ class Cochain:
 
     # -- norms -----------------------------------------------------------------
 
-    def max_abs(self, depth: int = 0) -> float:
-        """Max component magnitude, optionally over the depth-d interior.
-        NaN where that interior is empty: a check over no points must not
-        read as a perfect 0.0."""
+    def max_abs(self, depth: int = 0, slots=ALL_SLOTS) -> float:
+        """Max component magnitude over `slots` (all 16 by default),
+        optionally over the depth-d interior.  NaN where that interior is
+        empty: a check over no points must not read as a perfect 0.0."""
         view = self.data[interior_slices(depth)]
         if not view.size:
             return float("nan")
         # one slot-sized |.| temporary at a time; np.max keeps a NaN
-        return float(np.max([np.abs(slot).max() for slot in view]))
+        return float(np.max([np.abs(view[slot]).max() for slot in slots]))
 
     # -- serialization ---------------------------------------------------------
 
@@ -247,14 +248,12 @@ class Cochain:
         float64 bytes of each nonzero slot, written from the array itself.
         Non-finite data raises before `path` is opened, and a write that fails
         leaves the file empty."""
-        slots = []
-        for slot, mi in enumerate(ALL_INDEXES):
-            arr = self.data[slot]
-            if not np.any(arr):
-                continue
-            if not np.isfinite(arr).all():
-                raise ValueError(f"component {as_string(mi)!r}: non-finite values")
-            slots.append(slot)
+        # any() counts NaN and a nonzero imaginary part as nonzero, -0.0 not
+        slots = np.flatnonzero(self.data.reshape(NSLOTS, -1).any(axis=1)).tolist()
+        for slot in slots:
+            if not np.isfinite(self.data[slot]).all():
+                raise ValueError(f"component {as_string(ALL_INDEXES[slot])!r}: "
+                                 "non-finite values")
         header = json.dumps(
             {"schema_version": SCHEMA_VERSION, "extents": list(self.box.extents),
              "scalar_kind": self.scalar_kind, "tilde": self.tilde,

@@ -26,6 +26,7 @@ ALL_INDEXES: tuple[tuple[int, ...], ...] = tuple(
     mi for r in range(NDIRS + 1) for mi in enumerate_basis(r)
 )
 NSLOTS = len(ALL_INDEXES)  # 16
+ALL_SLOTS = tuple(range(NSLOTS))
 
 SLOT_OF: dict[tuple[int, ...], int] = {mi: i for i, mi in enumerate(ALL_INDEXES)}
 

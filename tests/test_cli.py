@@ -256,23 +256,20 @@ def test_momentum_options_rejected_with_scan(runner, tmp_path, option, value):
 @pytest.mark.parametrize("rel", [0.0, float("nan")])
 def test_off_shell_control_fails_when_it_does_not_discriminate(runner, monkeypatch,
                                                                rel):
-    operator = ddirac.cli.hestenes_residual_operator
-
-    def no_residual(omega, m):
+    def no_scale(omega, slots):
         # rel is max_abs / scale, which an infinite scale makes 0.0 and a NaN
         # scale NaN
-        res = dataclasses.replace(operator(omega, m),
-                                  scale=math.inf if rel == 0.0 else math.nan)
-        assert res.rel == rel or math.isnan(res.rel) and math.isnan(rel)
-        return res
+        return math.inf if rel == 0.0 else math.nan
 
-    monkeypatch.setattr(ddirac.cli, "hestenes_residual_operator", no_residual)
+    monkeypatch.setattr(ddirac.cli, "input_scale", no_scale)
     result = runner.invoke(main, ["planewave", "--extents", "4,4,4,4",
                                   "--p", "0.3,0,0", "--p0", "2.0"])
     assert result.exit_code == 1, result.output
     doc = _report(result)
     for kind in ("plus", "minus"):
-        assert not _row(doc, f"p0/{kind}/off_shell_control")["passed"]
+        entry = _row(doc, f"p0/{kind}/off_shell_control")
+        # the report writes a NaN as null
+        assert not entry["passed"] and entry["operator"] == (0.0 if rel == 0.0 else None)
     assert doc["summary"]["failed"] == 2
 
 
@@ -456,8 +453,9 @@ def test_planewave_fails_on_stencil_residual(runner, monkeypatch):
         # a stand-in with the residual's attributes, since rel = max_abs /
         # scale has no finite scale giving 1.0 on a zero max_abs
         res = stencil(omega, m)
-        return types.SimpleNamespace(residual=res.residual, scale=res.scale,
-                                     max_abs=res.max_abs, rel=1.0, region=res.region)
+        return types.SimpleNamespace(residual=res.residual, slots=res.slots,
+                                     max_abs=res.max_abs, rel=lambda scale: 1.0,
+                                     region=res.region)
 
     monkeypatch.setattr(ddirac.cli, "hestenes_residual_stencil", off_by_one)
     result = runner.invoke(main, ["planewave", "--extents", "3,3,3,3"])

@@ -1,8 +1,9 @@
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddirac.calculus import apply_stencil, dirac_operator
@@ -10,13 +11,17 @@ from ddirac.clifford import build_table, mul_basis_right
 from ddirac.equations import (
     DK_STENCIL,
     HESTENES_STENCIL,
+    ODD_RUNS,
+    TINY,
+    check_even_real,
     dk_residual_operator,
     dk_residual_stencil,
     hestenes_residual_operator,
     hestenes_residual_stencil,
+    input_scale,
 )
 from ddirac.lattice import Cochain, LatticeBox, random_cochain
-from ddirac.multiindex import ALL_INDEXES, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
+from ddirac.multiindex import ALL_INDEXES, ALL_SLOTS, EVEN_SLOTS, ODD_SLOTS, SLOT_OF
 
 #: The four residual routes, each with the random_cochain arguments of a
 #: valid input.
@@ -80,20 +85,50 @@ def test_routes_reject_non_finite_mass(rng, box4, route, kwargs, m):
         route(random_cochain(box4, rng, **kwargs), m)
 
 
+#: The slots each route writes, which its summary reduces.
+ROUTE_SLOTS = {dk_residual_operator: ALL_SLOTS, dk_residual_stencil: ALL_SLOTS,
+               hestenes_residual_operator: ODD_SLOTS, hestenes_residual_stencil: ODD_SLOTS}
+
+
 @pytest.mark.parametrize("route, kwargs", ROUTES)
 def test_summary_carries_the_input_scale(rng, box4, route, kwargs):
+    """The record holds the field and its route's slots, no scale: `rel`
+    and `to_dict` divide by the scale the caller takes of the input."""
     w = random_cochain(box4, rng, **kwargs)
     res = route(w, 1.3)
-    assert res.scale == w.max_abs()
-    assert res.rel == res.max_abs / res.scale
-    assert "scale" not in res.to_dict()
+    assert [f.name for f in dataclasses.fields(res)] == ["residual", "slots"]
+    assert res.slots == ROUTE_SLOTS[route]
+    scale = input_scale(w)
+    assert scale == w.max_abs()
+    assert res.rel(scale) == res.max_abs / scale
+    assert res.to_dict(scale) == {"max_abs": res.max_abs, "rel": res.max_abs / scale,
+                                  "region": list(res.region)}
+
+
+@pytest.mark.parametrize("route, kwargs", ROUTES)
+def test_input_scale_over_the_slots_a_route_reads(rng, box4, route, kwargs):
+    """An input's scale over the slots its route reads, and a residual's
+    maximum over the slots its route writes, equal those over all 16: the
+    slots left out hold only zeros."""
+    w = random_cochain(box4, rng, **kwargs)
+    res = route(w, 1.3)
+    reads = EVEN_SLOTS if res.slots == ODD_SLOTS else ALL_SLOTS
+    assert input_scale(w, reads) == input_scale(w) == max(w.max_abs(), TINY)
+    assert res.max_abs == res.residual.max_abs(1)
+
+
+def test_input_scale_is_at_least_tiny_and_keeps_nan(box4):
+    w = Cochain.zeros(box4, "real")
+    assert input_scale(w) == input_scale(w, EVEN_SLOTS) == TINY
+    w.data[SLOT_OF[(0, 1)], 1, 2, 3, 0] = np.nan
+    assert np.isnan(input_scale(w, EVEN_SLOTS))
 
 
 #: The reads of a residual's summary, each of which takes `max_abs`.
 SUMMARY_READS = {
     "max_abs": lambda res: res.max_abs,
-    "rel": lambda res: res.rel,
-    "to_dict": lambda res: res.to_dict(),
+    "rel": lambda res: res.rel(2.0),
+    "to_dict": lambda res: res.to_dict(2.0),
 }
 
 
@@ -101,24 +136,24 @@ SUMMARY_READS = {
 @pytest.mark.parametrize("route, kwargs", ROUTES)
 def test_summary_is_reduced_once_on_first_read(rng, box4, monkeypatch, route, kwargs,
                                                read):
-    """A route reduces only its input, for the scale; the residual's interior
-    maximum is taken on the first read of the summary, and only then."""
+    """A route reduces nothing; the residual's interior maximum is taken on
+    the first read of the summary, once, over the route's slots."""
     w = random_cochain(box4, rng, **kwargs)
-    depths = []
+    calls = []
     max_abs = Cochain.max_abs
 
-    def counted(self, depth=0):
-        depths.append(depth)
-        return max_abs(self, depth)
+    def counted(self, depth=0, slots=ALL_SLOTS):
+        calls.append((depth, slots))
+        return max_abs(self, depth, slots)
 
     monkeypatch.setattr(Cochain, "max_abs", counted)
     res = route(w, 1.3)
-    assert depths == [0]
+    assert calls == []
     SUMMARY_READS[read](res)
-    assert depths == [0, 1]
+    assert calls == [(1, ROUTE_SLOTS[route])]
     for again in SUMMARY_READS.values():
         again(res)
-    assert depths == [0, 1]
+    assert calls == [(1, ROUTE_SLOTS[route])]
     monkeypatch.undo()
     assert res.max_abs == res.residual.max_abs(1)
 
@@ -132,7 +167,7 @@ def test_residual_keeps_no_reference_to_its_input(rng, box4, route, kwargs):
     res = route(w, 1.3)
     del w
     assert data() is None
-    assert np.isfinite(res.rel)
+    assert np.isfinite(res.max_abs)
 
 
 def test_hestenes_stencil_covers_even_components():
@@ -156,7 +191,7 @@ def test_empty_interior_gives_nan_summary(rng, extents, route, kwargs):
     points is NaN, never a perfect 0.0."""
     res = route(random_cochain(LatticeBox(extents), rng, **kwargs), 1.3)
     assert 0 in res.region
-    assert np.isnan(res.max_abs) and np.isnan(res.rel)
+    assert np.isnan(res.max_abs) and np.isnan(res.rel(1.0))
 
 
 def test_hestenes_stencil_matches_operator(rng, box4):
@@ -195,12 +230,37 @@ def test_hestenes_rejects_nan_odd_slot(rng, box4, route):
         route(w, 1.0)
 
 
+def test_odd_runs_cover_exactly_the_odd_slots():
+    assert [s for run in ODD_RUNS for s in range(len(ALL_SLOTS))[run]] == list(ODD_SLOTS)
+    assert [(run.start, run.stop) for run in ODD_RUNS] == [(1, 5), (11, 15)]
+
+
+@given(slot=st.sampled_from(ODD_SLOTS), point=st.tuples(*[st.integers(0, 2)] * 4),
+       value=st.floats().filter(lambda v: v != 0))
+@example(slot=1, point=(0, 0, 0, 0), value=np.nan)
+@example(slot=4, point=(2, 2, 2, 2), value=5e-324)
+@example(slot=11, point=(0, 0, 0, 0), value=-np.inf)
+@example(slot=14, point=(2, 2, 2, 2), value=-1.0)
+@settings(max_examples=60, deadline=None)
+def test_check_even_real_sees_every_odd_point(slot, point, value):
+    """The check reduces ODD_RUNS, not each odd slot: one nonzero value or
+    NaN anywhere in an odd slot, a run's first and last slots included, is
+    rejected, while -0.0 there is accepted."""
+    w = Cochain.zeros(LatticeBox((3, 3, 3, 3)), "real")
+    w.data[list(EVEN_SLOTS)] = 1.0
+    w.data[slot] = -0.0
+    check_even_real(w)
+    w.data[(slot,) + point] = value
+    with pytest.raises(ValueError, match="even-degree"):
+        check_even_real(w)
+
+
 def test_summary_region_shrinks_under_interior_policy(rng):
     w = random_cochain(LatticeBox((5, 5, 5, 5)), rng)
     res = dk_residual_operator(w, 1.0)
     assert res.region == (4, 4, 4, 4)
     assert res.max_abs == res.residual.max_abs(1)
-    assert set(res.to_dict()) == {"max_abs", "rel", "region"}
+    assert set(res.to_dict(1.0)) == {"max_abs", "rel", "region"}
 
 
 def test_dk_equation_relates_to_first_order_operator(rng, box4):

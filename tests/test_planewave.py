@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ddirac import planewave
 from ddirac.calculus import delta_mu
 from ddirac.clifford import clifford_mul, mul_basis_right, unit_form
-from ddirac.equations import hestenes_residual_operator
+from ddirac.equations import hestenes_residual_operator, input_scale
 from ddirac.lattice import LatticeBox
 from ddirac.multiindex import EVEN_SLOTS, NSLOTS, ODD_SLOTS
 from ddirac.planewave import (
@@ -186,7 +186,7 @@ def test_solutions_satisfy_field_equation(rng):
             for amp in solution_basis(kind, mom):
                 sol = solution(kind, mom, amp, BOX5)
                 res = hestenes_residual_operator(sol, mom.m)
-                assert res.rel <= 1e-10
+                assert res.rel(input_scale(sol)) <= 1e-10
 
 
 def test_solution_basis_rank_both_energy_signs(rng):
@@ -238,10 +238,10 @@ def test_rest_frame_residual_scan(rng):
     for _ in range(5):
         amp = EvenAmplitude.from_parts(rng.uniform(-1, 1, 4), np.zeros(4))
         sol = solution("minus", rest, amp, box)
-        assert hestenes_residual_operator(sol, rest.m).rel > 1e-2
+        assert hestenes_residual_operator(sol, rest.m).rel(input_scale(sol)) > 1e-2
         good = EvenAmplitude.from_parts(np.zeros(4), rng.uniform(-1, 1, 4))
         sol = solution("minus", rest, good, box)
-        assert hestenes_residual_operator(sol, rest.m).rel <= 1e-12
+        assert hestenes_residual_operator(sol, rest.m).rel(input_scale(sol)) <= 1e-12
 
 
 def test_coupling_system_rows():

@@ -540,12 +540,44 @@ def test_save_to_a_device_writes_without_truncating(rng):
 
 
 def test_save_allocates_no_copy_of_the_data(rng, tmp_path, peak_over_input):
-    """Each slot's bytes go to the file from the array itself."""
-    w = random_cochain(LatticeBox((8, 8, 8, 8)), rng, scalar_kind="real",
-                       degrees={0, 2, 4})
+    """Each slot's bytes go to the file from the array itself, and finding
+    the nonzero slots copies nothing either, for both kinds."""
     path = tmp_path / "form.json"
-    assert peak_over_input(lambda form: form.save(path), w) < 0.1
+    for kind in ("real", "complex"):
+        w = random_cochain(LatticeBox((8, 8, 8, 8)), rng, scalar_kind=kind,
+                           degrees={0, 2, 4})
+        assert peak_over_input(lambda form: form.save(path), w) < 0.1
+        assert path.read_bytes() == _expected_file(w)
+
+
+def test_save_keeps_a_slot_with_only_an_imaginary_part(tmp_path):
+    w = Cochain.zeros(LatticeBox((1, 2, 1, 2)), "complex")
+    w.data[SLOT_OF[(1, 3)], 0, 1, 0, 0] = complex(0.0, -5e-324)
+    path = tmp_path / "form.json"
+    w.save(path)
+    assert _split(path.read_bytes())[0]["slots"] == ["13"]
+    assert Cochain.load(path).data.tobytes() == w.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_save_leaves_out_a_slot_of_negative_zeros(rng, tmp_path, kind):
+    w = random_cochain(LatticeBox((1, 2, 1, 2)), rng, scalar_kind=kind, degrees={1})
+    w.data[SLOT_OF[(0, 2)]] = -0.0
+    w.data[SLOT_OF[(2,)]] = complex(-0.0, -0.0) if kind == "complex" else -0.0
+    path = tmp_path / "form.json"
+    w.save(path)
+    assert _split(path.read_bytes())[0]["slots"] == ["0", "1", "3"]
     assert path.read_bytes() == _expected_file(w)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_save_refuses_a_slot_of_only_nan(tmp_path, kind):
+    w = Cochain.zeros(LatticeBox((1, 2, 1, 2)), kind)
+    w.data[SLOT_OF[(0, 1, 2)]] = np.nan
+    path = tmp_path / "form.json"
+    with pytest.raises(ValueError, match="component '012': non-finite"):
+        w.save(path)
+    assert not path.exists()
 
 
 def test_load_of_a_real_form_allocates_one_full_size_array(rng, tmp_path,

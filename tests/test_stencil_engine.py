@@ -301,7 +301,7 @@ def _outcomes(form, even, m):
         result = route(even if wants_even else form, m)
         if isinstance(result, EquationResidual):
             got[name] = (result.residual.data.tobytes(),
-                         repr((result.max_abs, result.rel, result.region, result.scale)))
+                         repr((result.max_abs, result.region, result.slots)))
         else:
             got[name] = (result.data.tobytes(),)
     return got
